@@ -3,11 +3,11 @@
 #   make test        - tier-1 test suite (fast; what CI gates on)
 #   make bench-smoke - tiny-scale benchmark suite: orchestrator fan-out,
 #                      result-store warm hits, store-backend write/read/
-#                      scan (per-file vs sharded vs segment), the
+#                      scan (per-file vs segment), the
 #                      experiment-service warm wire throughput (8
 #                      concurrent clients vs one daemon: batched +
 #                      gzip + headline-projected submit_many vs the
-#                      single-POST v1 shape -> BENCH_service.json),
+#                      single-POST shape -> BENCH_service.json),
 #                      the fleet cold-sweep scale-out (3 daemon
 #                      subprocesses vs 1 over one shared store root
 #                      -> BENCH_fleet.json; skips below 4 CPUs),

@@ -9,7 +9,7 @@ scale) serving :data:`N_CLIENTS` concurrent
 Three wire modes are measured in the same run:
 
 ``single_post_identity``
-    The wire-v1 shape: one ``POST /runs`` per artifact, no
+    The single-POST shape: one ``POST /runs`` per artifact, no
     compression.  This is the baseline the lean-wire work is judged
     against.
 ``batch_identity``
@@ -24,7 +24,7 @@ Gates (asserted, and recorded in ``benchmarks/reports/``):
 * ``batch_gzip``    >= :data:`BATCH_RATE_BAR` warm artifacts/s,
 * ``batch_gzip``    >= :data:`SPEEDUP_BAR` x ``single_post_identity``,
 * ``single_post_identity`` >= :data:`SINGLE_RATE_BAR` (the original
-  ROADMAP bar -- the v1 shape must not regress).
+  ROADMAP bar -- the single-POST shape must not regress).
 
 Note both sides of the exchange run in this one process (8 clients +
 the daemon share the GIL), so the daemon alone clears the bars with
@@ -67,7 +67,8 @@ BATCH_RATE_BAR = 8_000.0
 #: Minimum speedup of the batched+compressed path over single-POST.
 SPEEDUP_BAR = 3.0
 
-#: The original single-POST bar (the v1 wire shape must not regress).
+#: The original single-POST bar (the single-POST shape must not
+#: regress).
 SINGLE_RATE_BAR = 1_000.0
 
 #: How long each mode's measurement hammers the daemon.
@@ -104,7 +105,7 @@ def _start_daemon() -> tuple[ExperimentDaemon, list[RunRequest]]:
 def _measure(make_client, iterate, prime) -> dict:
     """Fan N_CLIENTS threads at the daemon; one mode's throughput.
 
-    Every thread builds its client, primes it (negotiation + response
+    Every thread builds its client, primes it (connection + response
     cache variants) *before* the barrier, then serves until the bell.
     """
     counts = [0] * N_CLIENTS

@@ -29,7 +29,7 @@ All commands accept ``--scale {small,tiny}``, ``--horizon N`` and
 the experiment orchestrator: ``--jobs N`` fans uncached runs out over
 N worker processes, ``--store DIR`` persists results on disk keyed by
 request fingerprint (warm reruns skip simulation entirely),
-``--store-backend {auto,json,sharded,segment}`` picks the on-disk
+``--store-backend {auto,json,segment}`` picks the on-disk
 layout for new roots (warm roots auto-detect), ``--no-cache`` forces
 recomputation, and ``--seeds N`` replicates the comparison over N
 seeds with mean / 95 % CI reporting.  Sweeps stream ``completed/total``
@@ -681,14 +681,14 @@ def cmd_store_ls(args: argparse.Namespace) -> int:
     rows = list_documents(backend, **_store_filters(args))
     print(
         f"{'fingerprint':<14} {'policy':<12} {'pack':<22} {'ver':>3}  "
-        f"{'pack sha256':<14} {'shard':<14} campaign"
+        f"{'pack sha256':<14} campaign"
     )
     for info in rows:
         print(
             f"{info.fingerprint[:12]:<14} {info.policy or '-':<12} "
             f"{info.pack_name or '-':<22} "
             f"{info.pack_version if info.pack_version is not None else '-':>3}  "
-            f"{(info.pack_sha256 or '-')[:12]:<14} {info.shard or '-':<14} "
+            f"{(info.pack_sha256 or '-')[:12]:<14} "
             f"{info.campaign or '-'}"
         )
     print(f"{len(rows)} document(s) [{backend.format} backend]")

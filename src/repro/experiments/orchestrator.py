@@ -12,8 +12,8 @@ policy x seed)* simulation runs.  This module owns that evaluation:
   request, the unit of caching.
 * :class:`~repro.store.ResultStore` (in :mod:`repro.store`) maps
   fingerprints to :class:`~repro.sim.results.RunResult` -- a memory
-  layer plus one of three persistent backends (per-file JSON, sharded
-  multi-root, append-only segments); see that package and DESIGN.md
+  layer plus one of two persistent backends (per-file JSON or
+  append-only segments); see that package and DESIGN.md
   for layouts, auto-detection and concurrency discipline.
 * :class:`Orchestrator` resolves requests against the store and fans
   misses out over a persistent ``ProcessPoolExecutor``.  The primitive
@@ -50,7 +50,7 @@ The fingerprint hashes the *complete* canonicalized request:
 Anything that could change a run's numbers therefore changes its key;
 entries never need explicit invalidation, only garbage collection
 (``repro store gc``).  Store-side labels that must *not* key runs --
-the shard routing key, the pack's display name -- travel in the
+the pack's display name, the daemon, the campaign -- travel in the
 document's ``meta`` envelope instead (:func:`run_meta`).
 """
 
@@ -77,7 +77,6 @@ from repro.store import (
     STORE_ENV_VAR,
     STORE_VERSION,
     ResultStore,
-    shard_slug,
 )
 from repro.workload.materialize import (
     DEFAULT_CACHE_MATERIALIZATIONS,
@@ -249,18 +248,12 @@ class RunRequest:
 def run_meta(request: RunRequest) -> dict:
     """Store-side labels for a request (never part of the fingerprint).
 
-    The ``shard`` key routes the document in a sharded backend -- the
-    workload pack's name when the run has one, else the config name --
-    and the pack block records the *name* alongside the content
-    identity so ``repro store ls``/``gc`` can filter by pack name even
-    though fingerprints deliberately ignore it.
+    The pack block records the workload pack's *name* alongside its
+    content identity so ``repro store ls``/``gc`` can filter by pack
+    name even though fingerprints deliberately ignore it.
     """
     pack = request.pack
-    if pack is not None:
-        shard = shard_slug(pack.name)
-    else:
-        shard = shard_slug(getattr(request.config, "name", None))
-    meta: dict = {"shard": shard}
+    meta: dict = {}
     if pack is not None:
         meta["pack"] = {
             "name": pack.name,

@@ -9,12 +9,12 @@ store, one in-flight dedup table:
 * :mod:`repro.service.codec` -- reversible JSON encoding of the
   request object universe (configs, policies, packs), the sibling of
   the orchestrator's one-way ``canonical``;
-* :mod:`repro.service.protocol` -- the versioned wire envelopes for
+* :mod:`repro.service.protocol` -- the wire envelopes for
   :class:`~repro.experiments.orchestrator.RunRequest` and
   :class:`~repro.experiments.orchestrator.RunArtifact`;
 * :mod:`repro.service.server` -- the threaded stdlib-HTTP daemon
-  behind ``repro serve`` (``POST /runs``, ``GET /runs/<fp>``,
-  ``GET /runs?fp=...`` streaming, ``/healthz``, ``/stats``);
+  behind ``repro serve`` (``POST /runs``, ``/runs/batch`` and
+  ``/runs/poll``, ``GET /runs/<fp>``, ``/healthz``, ``/stats``);
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a drop-in
   :class:`~repro.experiments.orchestrator.Orchestrator` replacement
   that resolves runs against a remote daemon (the CLI's ``--service``

@@ -12,31 +12,28 @@ it.  Endpoints:
     enter the orchestrator's in-flight dedup table, so overlapping
     submissions of one fingerprint -- same client or different clients
     -- execute exactly once.
-``POST /runs/batch`` (wire v2)
+``POST /runs/batch``
     Submit many encoded requests in one round trip.  The reply is one
     JSON line per entry, in entry order: artifact (warm), pending
     (launched/in flight) or error -- the dispositions a client needs
     to fan a whole sweep out in ~#requests/chunk HTTP exchanges.
-``POST /runs/poll`` (wire v2)
-    Settle many fingerprints in one call (the body-borne replacement
-    for ``GET /runs?fp=...``, which URL length caps).  ``wait=0``
-    answers immediately with one buffered -- and compressible -- body;
-    ``wait>0`` long-poll streams JSON lines in completion order.
-``GET /runs/<fingerprint>[?wait=S&v=V&detail=D]``
-    Poll one run.  ``wait`` long-polls up to S seconds (capped at
-    :data:`MAX_WAIT_S`) for completion; replies ``200`` artifact,
-    ``202`` pending, ``404`` unknown, or ``500`` with the run's error.
-    ``v``/``detail`` select the reply envelope version (default 1, so
-    old clients keep decoding) and projection level.
-``GET /runs?fp=...&fp=...[&wait=S&v=V&detail=D]``
-    Stream the named runs back as JSON lines in *completion* order --
+``POST /runs/poll``
+    Settle many fingerprints in one call.  ``wait=0`` answers
+    immediately with one buffered -- and compressible -- body;
+    ``wait>0`` long-poll streams JSON lines in *completion* order --
     the wire mirror of
     :meth:`~repro.experiments.orchestrator.Orchestrator.as_resolved`.
     Runs still pending when ``wait`` expires stream a ``pending``
     line; the client re-polls.
+``GET /runs/<fingerprint>[?wait=S&detail=D]``
+    Poll one run.  ``wait`` long-polls up to S seconds (capped at
+    :data:`MAX_WAIT_S`) for completion; replies ``200`` artifact,
+    ``202`` pending, ``404`` unknown, or ``500`` with the run's error.
+    ``detail`` selects the projection level.  A non-finite ``wait``
+    is refused with ``400``.
 ``GET /healthz`` and ``GET /stats``
-    Liveness (with the supported wire versions, which is how clients
-    negotiate), and counters (hits/misses/computed/in-flight/errors,
+    Liveness (with the wire version), and counters
+    (hits/misses/computed/in-flight/errors,
     the store's own counters, and the wire block: bytes in/out,
     gzip vs identity replies, batch sizes, request-latency p50/p99).
 
@@ -53,7 +50,7 @@ then does it enter the shared orchestrator core
 (:meth:`~repro.experiments.orchestrator.Orchestrator.resolve`).
 
 The response cache stores fully *rendered* reply bodies keyed by
-``(fingerprint, version, detail, encoding)`` -- for gzip that means
+``(fingerprint, detail, encoding)`` -- for gzip that means
 pre-compressed bytes, so a warm hit is one cache lookup plus one
 socket write with no per-request ``json.dumps`` or ``gzip.compress``
 on the hot path.  Gzip variants are complete gzip members whose
@@ -77,6 +74,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import threading
 import time
 import zlib
@@ -95,7 +93,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.experiments.orchestrator import Orchestrator, RunFuture
 from repro.service.protocol import (
     FingerprintMismatch,
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
     WireError,
     check_detail,
@@ -128,9 +125,9 @@ DEFAULT_MAX_BODY_BYTES = 64 << 20
 DEFAULT_IDLE_TIMEOUT_S = 120.0
 
 #: Rendered reply bodies kept for the warm fast path.  Keys are
-#: ``(fingerprint, version, detail, encoding)`` -- a fingerprint hot
-#: in every variant costs at most 8 slots (2 versions x 2 details x
-#: 2 encodings), headline/gzip variants being tiny.
+#: ``(fingerprint, detail, encoding)`` -- a fingerprint hot in every
+#: variant costs at most 4 slots (2 details x 2 encodings),
+#: headline/gzip variants being tiny.
 _RESPONSE_CACHE_SIZE = 4096
 
 #: Failed-run messages retained for polls (bounded; a daemon lives
@@ -361,7 +358,6 @@ class ExperimentDaemon:
     def _artifact_bytes(
         self,
         future: RunFuture,
-        version: int = 1,
         detail: str = "full",
         encoding: str = "identity",
     ) -> bytes:
@@ -372,7 +368,7 @@ class ExperimentDaemon:
         object plus a trailing newline, so batch replies concatenate
         cached members verbatim (see the module docstring).
         """
-        key = (future.fingerprint, version, detail, encoding)
+        key = (future.fingerprint, detail, encoding)
         cached = self._cached_response(key)
         if cached is not None:
             return cached
@@ -381,17 +377,13 @@ class ExperimentDaemon:
             # the same envelope byte for byte (the artifact's volatile
             # metadata -- elapsed_s, source -- would otherwise differ
             # between a re-resolve and the first render).
-            identity = self._artifact_bytes(future, version, detail)
+            identity = self._artifact_bytes(future, detail)
             body = gzip.compress(
                 identity + b"\n", compresslevel=_GZIP_LEVEL, mtime=0
             )
         else:
             artifact = future.result(timeout=0)
-            body = _dumps(
-                encode_artifact(
-                    artifact, detail=detail, wire_version=version
-                )
-            )
+            body = _dumps(encode_artifact(artifact, detail=detail))
         self._cache_response(key, body)
         return body
 
@@ -426,8 +418,8 @@ class ExperimentDaemon:
     ) -> tuple[int, bytes, str]:
         """``POST /runs`` (and one batch entry): ``(status, body, enc)``.
 
-        ``detail=None`` reads the level from the payload (v2 field);
-        batch entries get the batch-level detail passed in instead.
+        ``detail=None`` reads the level from the payload; batch
+        entries get the batch-level detail passed in instead.
         ``encoding`` is what the rendered artifact body should use --
         error and pending replies are always identity (they are tiny,
         and per-line gzip wrapping is the batch assembler's job).
@@ -440,9 +432,8 @@ class ExperimentDaemon:
             return 400, _dumps(
                 encode_error("expected a JSON object body", status=400)
             ), "identity"
-        version = payload.get("wire_version")
         if (
-            version not in SUPPORTED_WIRE_VERSIONS
+            payload.get("wire_version") != WIRE_VERSION
             or payload.get("kind") != "run_request"
         ):
             # Checked before the warm fast path too: a mismatched peer
@@ -450,26 +441,22 @@ class ExperimentDaemon:
             # its fingerprint happens to be cached.
             return 400, _dumps(
                 encode_error(
-                    "expected a run_request payload at a supported "
-                    f"wire version {SUPPORTED_WIRE_VERSIONS}",
+                    "expected a run_request payload at wire version "
+                    f"{WIRE_VERSION}",
                     status=400,
                 )
             ), "identity"
-        if version < 2:
-            detail = "full"  # v1 knows only the full ledger
-        elif detail is None:
+        if detail is None:
             try:
                 detail = check_detail(payload.get("detail"))
             except WireError as error:
                 return 400, _dumps(
-                    encode_error(str(error), status=400, wire_version=version)
+                    encode_error(str(error), status=400)
                 ), "identity"
         declared = payload.get("fingerprint")
         use_store = bool(payload.get("use_store", True))
         if use_store and isinstance(declared, str):
-            cached = self._cached_response(
-                (declared, version, detail, encoding)
-            )
+            cached = self._cached_response((declared, detail, encoding))
             if cached is not None:
                 self._count("hits")
                 return 200, cached, encoding
@@ -477,11 +464,11 @@ class ExperimentDaemon:
             request, fingerprint, use_store = decode_request(payload)
         except FingerprintMismatch as error:
             return 409, _dumps(
-                encode_error(str(error), status=409, wire_version=version)
+                encode_error(str(error), status=409)
             ), "identity"
         except WireError as error:
             return 400, _dumps(
-                encode_error(str(error), status=400, wire_version=version)
+                encode_error(str(error), status=400)
             ), "identity"
         engine = getattr(request.options, "engine", None)
         kind = getattr(engine, "kind", "slot")
@@ -492,7 +479,7 @@ class ExperimentDaemon:
             if hit is not None:
                 self._count("hits")
                 return 200, self._artifact_bytes(
-                    hit, version, detail, encoding
+                    hit, detail, encoding
                 ), encoding
         # Miss: claim the fingerprint in the daemon registry *before*
         # launching, so overlapping submissions -- same client or a
@@ -509,9 +496,7 @@ class ExperimentDaemon:
                     lambda base, fp=fingerprint: self._finish(fp, base)
                 )
         if existing is not None:
-            return 202, _dumps(
-                encode_pending(fingerprint, wire_version=version)
-            ), "identity"
+            return 202, _dumps(encode_pending(fingerprint)), "identity"
         # A serial orchestrator executes launches inline; running that
         # on the handler thread would stall the POST for the whole
         # simulation (longer than any client timeout), so serial
@@ -539,9 +524,7 @@ class ExperimentDaemon:
                 wrapper.set_exception(error)
             else:
                 _chain(launched._future, wrapper)
-        return 202, _dumps(
-            encode_pending(fingerprint, wire_version=version)
-        ), "identity"
+        return 202, _dumps(encode_pending(fingerprint)), "identity"
 
     def handle_batch(
         self,
@@ -586,11 +569,7 @@ class ExperimentDaemon:
         parts = []
         for fingerprint in dict.fromkeys(fingerprints):
             _, body, used = self.handle_poll(
-                fingerprint,
-                0.0,
-                version=WIRE_VERSION,
-                detail=detail,
-                encoding=encoding,
+                fingerprint, 0.0, detail=detail, encoding=encoding
             )
             parts.append(_as_member(body, used, encoding))
         return 200, b"".join(parts), encoding
@@ -608,7 +587,6 @@ class ExperimentDaemon:
         self,
         fingerprint: str,
         wait_s: float,
-        version: int = 1,
         detail: str = "full",
         encoding: str = "identity",
     ) -> tuple[int, bytes, str]:
@@ -619,14 +597,13 @@ class ExperimentDaemon:
             if future is not None and future.done():
                 if future.exception(timeout=0) is None:
                     return 200, self._artifact_bytes(
-                        future, version, detail, encoding
+                        future, detail, encoding
                     ), encoding
                 return 500, _dumps(
                     encode_error(
                         self._error_message(future),
                         fingerprint=fingerprint,
                         status=500,
-                        wire_version=version,
                     )
                 ), "identity"
             if future is None:
@@ -635,10 +612,7 @@ class ExperimentDaemon:
                 if message is not None:
                     return 500, _dumps(
                         encode_error(
-                            message,
-                            fingerprint=fingerprint,
-                            status=500,
-                            wire_version=version,
+                            message, fingerprint=fingerprint, status=500
                         )
                     ), "identity"
                 return 404, _dumps(
@@ -646,14 +620,11 @@ class ExperimentDaemon:
                         "unknown fingerprint (not stored, not in flight)",
                         fingerprint=fingerprint,
                         status=404,
-                        wire_version=version,
                     )
                 ), "identity"
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return 202, _dumps(
-                    encode_pending(fingerprint, wire_version=version)
-                ), "identity"
+                return 202, _dumps(encode_pending(fingerprint)), "identity"
             try:
                 # Chunked so a killed daemon's parked long-polls wake
                 # within ~0.25 s instead of running out their wait.
@@ -671,10 +642,9 @@ class ExperimentDaemon:
         self,
         fingerprints: list[str],
         wait_s: float,
-        version: int = 1,
         detail: str = "full",
     ) -> Iterator[bytes]:
-        """``GET /runs?fp=...``: JSON lines in completion order.
+        """``POST /runs/poll`` with ``wait>0``: lines in completion order.
 
         Always identity-encoded: lines go out as runs complete, and
         close-delimited incremental gzip would force clients into
@@ -691,10 +661,7 @@ class ExperimentDaemon:
                 if message is not None:
                     yield _dumps(
                         encode_error(
-                            message,
-                            fingerprint=fingerprint,
-                            status=500,
-                            wire_version=version,
+                            message, fingerprint=fingerprint, status=500
                         )
                     ) + b"\n"
                     continue
@@ -703,11 +670,10 @@ class ExperimentDaemon:
                         "unknown fingerprint (not stored, not in flight)",
                         fingerprint=fingerprint,
                         status=404,
-                        wire_version=version,
                     )
                 ) + b"\n"
             elif future.done():
-                yield self._line_for(future, version, detail)
+                yield self._line_for(future, detail)
             else:
                 pending[future._future] = fingerprint
         while pending:
@@ -719,9 +685,7 @@ class ExperimentDaemon:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 for fingerprint in pending.values():
-                    yield _dumps(
-                        encode_pending(fingerprint, wire_version=version)
-                    ) + b"\n"
+                    yield _dumps(encode_pending(fingerprint)) + b"\n"
                 return
             done_now, _ = wait(
                 pending,
@@ -731,7 +695,7 @@ class ExperimentDaemon:
             for base in done_now:
                 fingerprint = pending.pop(base)
                 yield self._line_for(
-                    RunFuture(None, fingerprint, base), version, detail
+                    RunFuture(None, fingerprint, base), detail
                 )
 
     def _error_message(self, future: RunFuture) -> str:
@@ -748,18 +712,15 @@ class ExperimentDaemon:
         with self._lock:
             return self._errors.get(future.fingerprint, "run failed")
 
-    def _line_for(
-        self, future: RunFuture, version: int = 1, detail: str = "full"
-    ) -> bytes:
+    def _line_for(self, future: RunFuture, detail: str = "full") -> bytes:
         if future.exception(timeout=0) is None:
-            return self._artifact_bytes(future, version, detail) + b"\n"
+            return self._artifact_bytes(future, detail) + b"\n"
         return (
             _dumps(
                 encode_error(
                     self._error_message(future),
                     fingerprint=future.fingerprint,
                     status=500,
-                    wire_version=version,
                 )
             )
             + b"\n"
@@ -806,7 +767,6 @@ class ExperimentDaemon:
         inflight, queue_depth = self._load()
         return {
             "wire_version": WIRE_VERSION,
-            "supported_wire_versions": list(SUPPORTED_WIRE_VERSIONS),
             "kind": "stats",
             "daemon_id": self.daemon_id,
             "uptime_s": time.time() - self._started,
@@ -1045,8 +1005,6 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
 
         def _handle_get(self) -> None:
             parts = urlsplit(self.path)
-            query = parse_qs(parts.query)
-            wait = _float_param(query, "wait", 0.0)
             path = parts.path.rstrip("/")
             if path == "/healthz":
                 self._reply(200, _dumps(daemon.health()))
@@ -1054,20 +1012,10 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
             if path == "/stats":
                 self._reply(200, _dumps(daemon.stats()))
                 return
-            if path == "/runs" or path.startswith("/runs/"):
-                version = _int_param(query, "v", 1)
-                if version not in SUPPORTED_WIRE_VERSIONS:
-                    self._reply(
-                        400,
-                        _dumps(
-                            encode_error(
-                                f"unsupported wire version {version}",
-                                status=400,
-                            )
-                        ),
-                    )
-                    return
+            if path.startswith("/runs/"):
+                query = parse_qs(parts.query)
                 try:
+                    wait = _float_param(query, "wait", 0.0)
                     detail = check_detail(
                         query.get("detail", [None])[0]
                     )
@@ -1076,32 +1024,10 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
                         400, _dumps(encode_error(str(error), status=400))
                     )
                     return
-                if version < 2:
-                    detail = "full"
-                if path == "/runs":
-                    fingerprints = query.get("fp", [])
-                    if not fingerprints:
-                        self._reply(
-                            400,
-                            _dumps(
-                                encode_error(
-                                    "streaming GET /runs needs >=1 "
-                                    "fp= param",
-                                    status=400,
-                                )
-                            ),
-                        )
-                        return
-                    self._reply_stream(
-                        daemon.handle_stream(
-                            fingerprints, wait, version, detail
-                        )
-                    )
-                    return
                 fingerprint = path[len("/runs/") :]
                 encoding = "gzip" if self._wants_gzip() else "identity"
                 status, body, used = daemon.handle_poll(
-                    fingerprint, wait, version, detail, encoding
+                    fingerprint, wait, detail, encoding
                 )
                 if status == 0:  # killed mid-wait; drop the connection
                     self.close_connection = True
@@ -1146,9 +1072,7 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
                     # Streamed settlement in completion order; identity
                     # by design (see handle_stream).
                     self._reply_stream(
-                        daemon.handle_stream(
-                            fingerprints, wait_s, WIRE_VERSION, detail
-                        )
+                        daemon.handle_stream(fingerprints, wait_s, detail)
                     )
                     return
                 status, body, used = daemon.handle_poll_batch(
@@ -1160,14 +1084,15 @@ def _build_handler(daemon: ExperimentDaemon) -> type:
 
 
 def _float_param(query: dict, name: str, default: float) -> float:
+    """A float query parameter (unparseable -> default).
+
+    Non-finite values raise :class:`WireError`: a ``nan`` wait would
+    make every deadline comparison false and spin the handler.
+    """
     try:
-        return float(query.get(name, [default])[0])
+        value = float(query.get(name, [default])[0])
     except (TypeError, ValueError):
         return default
-
-
-def _int_param(query: dict, name: str, default: int) -> int:
-    try:
-        return int(query.get(name, [default])[0])
-    except (TypeError, ValueError):
-        return default
+    if not math.isfinite(value):
+        raise WireError(f"{name} must be finite, got {value!r}")
+    return value

@@ -1,16 +1,11 @@
 """Shared result-store contract: constants, protocol, format detection.
 
 A store *backend* maps run fingerprints (SHA-256 hex digests) to JSON
-documents.  Three implementations live in this package:
+documents.  Two implementations live in this package:
 
 * :class:`~repro.store.jsonfile.JsonFileBackend` -- the original
-  one-document-per-file layout (``root/v1/<fp[:2]>/<fp>.json``), kept
-  for compatibility and auto-detected on warm roots from earlier
-  versions.
-* :class:`~repro.store.sharded.ShardedBackend` -- the per-file layout
-  fanned out over multiple roots keyed by a *shard* label (the run's
-  pack or config name), so unrelated experiment families never share
-  a directory tree.
+  one-document-per-file layout (``root/v1/<fp[:2]>/<fp>.json``),
+  auto-detected on warm roots from earlier versions.
 * :class:`~repro.store.segment.SegmentBackend` -- append-only packed
   segments plus a fixed-width, mmap-able offset index; the scaling
   path for millions of documents.
@@ -19,9 +14,8 @@ Auto-detection rules (``detect_format``)
 ----------------------------------------
 
 1. A ``STORE_FORMAT.json`` marker names the format explicitly
-   (written by the sharded and segment backends on first put).
-2. A ``segments/`` directory means ``segment``; a ``shards/``
-   directory means ``sharded``.
+   (written by the segment backend on first put).
+2. A ``segments/`` directory means ``segment``.
 3. A versioned document directory (``v1/``, ...) means ``json`` --
    every store written before the backend split looks like this.
 4. Otherwise the root is virgin and the caller's default applies
@@ -32,7 +26,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import re
 from typing import Iterator, Protocol, runtime_checkable
 
 #: Version of the on-disk schema *and* of the engine numerics contract.
@@ -49,7 +42,7 @@ BACKEND_ENV_VAR = "REPRO_STORE_BACKEND"
 MARKER_NAME = "STORE_FORMAT.json"
 
 #: Formats accepted by :func:`repro.store.open_backend` (plus "auto").
-KNOWN_FORMATS = ("json", "sharded", "segment")
+KNOWN_FORMATS = ("json", "segment")
 
 
 @runtime_checkable
@@ -68,14 +61,8 @@ class StoreBackend(Protocol):
     def fetch(self, fingerprint: str) -> dict | None:
         """The document for ``fingerprint``, or None (missing/corrupt)."""
 
-    def put(
-        self, fingerprint: str, document: dict, shard: str | None = None
-    ) -> None:
-        """Store ``document`` under ``fingerprint`` (atomic/durable).
-
-        ``shard`` is a routing hint (pack/config name); backends
-        without sharding ignore it.
-        """
+    def put(self, fingerprint: str, document: dict) -> None:
+        """Store ``document`` under ``fingerprint`` (atomic/durable)."""
 
     def delete(self, fingerprint: str) -> bool:
         """Remove a document; True when something was deleted."""
@@ -102,19 +89,6 @@ class StoreBackend(Protocol):
         """
 
     def __contains__(self, fingerprint: str) -> bool: ...
-
-
-def shard_slug(name: str | None) -> str:
-    """A filesystem-safe shard directory name for ``name``.
-
-    Empty/None names collapse to ``default``; anything outside
-    ``[A-Za-z0-9._-]`` becomes ``-`` and the result is length-capped
-    so arbitrary pack names cannot escape the shard tree.
-    """
-    if not name:
-        return "default"
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "-", str(name)).strip("-.")
-    return slug[:64] or "default"
 
 
 def write_marker(root: pathlib.Path, fmt: str) -> None:
@@ -149,8 +123,6 @@ def detect_format(root: pathlib.Path | str) -> str | None:
         return marked
     if (root / "segments").is_dir():
         return "segment"
-    if (root / "shards").is_dir():
-        return "sharded"
     if (root / f"v{STORE_VERSION}").is_dir() or any(root.glob("v[0-9]*")):
         return "json"
     return None

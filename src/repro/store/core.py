@@ -7,8 +7,7 @@ result, optional metadata), and delegates persistence to one of the
 :mod:`repro.store` backends.  ``backend="auto"`` resolves through
 :func:`repro.store.base.detect_format`, so a warm root written by any
 earlier version (the per-file JSON layout) keeps resolving
-transparently, while new roots can opt into the sharded or segment
-layouts.
+transparently, while new roots can opt into the segment layout.
 """
 
 from __future__ import annotations
@@ -28,12 +27,9 @@ from repro.store.base import (
 )
 from repro.store.jsonfile import JsonFileBackend
 from repro.store.segment import SegmentBackend
-from repro.store.sharded import ShardedBackend
 
 _BACKENDS = {
     "json": JsonFileBackend,
-    "jsonfile": JsonFileBackend,
-    "sharded": ShardedBackend,
     "segment": SegmentBackend,
 }
 
@@ -46,15 +42,20 @@ def open_backend(
     ``"auto"`` uses the detected on-disk format (default ``json`` for
     a virgin root).  Naming a format explicitly on a root that already
     holds a different one is refused -- mixing layouts in one tree
-    would corrupt both.
+    would corrupt both.  So is a root whose marker names a format this
+    version cannot read (e.g. the retired ``sharded`` layout).
     """
     root = pathlib.Path(root)
     detected = detect_format(root)
+    if detected is not None and detected not in _BACKENDS:
+        raise ValueError(
+            f"store root {os.fspath(root)!r} holds a {detected!r} store, "
+            f"a format this version cannot open; readable formats are "
+            f"{KNOWN_FORMATS}"
+        )
     name = backend or "auto"
     if name == "auto":
         name = detected or "json"
-    elif name in ("json", "jsonfile"):
-        name = "json"
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown store backend {backend!r}; choose from "
@@ -78,8 +79,8 @@ class ResultStore:
         keeps results in memory only.
     backend:
         Persistent layout: ``"auto"`` (detect; new roots get the
-        per-file ``json`` layout), ``"json"``, ``"sharded"``,
-        ``"segment"`` -- or an already-constructed
+        per-file ``json`` layout), ``"json"``, ``"segment"`` -- or an
+        already-constructed
         :class:`~repro.store.base.StoreBackend`.
 
     Thread safety: ``put``/``fetch`` may be called from the
@@ -167,9 +168,9 @@ class ResultStore:
         """Record a result in memory and (when backed) persistently.
 
         ``meta`` carries store-side labels that deliberately stay out
-        of the fingerprint -- the shard routing key and the workload
-        pack's name/version (what ``repro store ls``/``gc`` filter
-        on).  Writes are atomic per backend discipline.
+        of the fingerprint -- the workload pack's name/version (what
+        ``repro store ls``/``gc`` filter on), the daemon and the
+        campaign.  Writes are atomic per backend discipline.
         """
         with self._lock:
             self._memory[fingerprint] = result
@@ -184,9 +185,7 @@ class ResultStore:
         }
         if meta:
             document["meta"] = meta
-        self._backend.put(
-            fingerprint, document, shard=(meta or {}).get("shard")
-        )
+        self._backend.put(fingerprint, document)
 
     def documents(self):
         """Every persisted ``(fingerprint, document)`` pair."""

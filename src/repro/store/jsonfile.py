@@ -48,9 +48,7 @@ class JsonFileBackend:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def put(
-        self, fingerprint: str, document: dict, shard: str | None = None
-    ) -> None:
+    def put(self, fingerprint: str, document: dict) -> None:
         """Write one document atomically (temp file + rename)."""
         path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,7 @@ Documents are labeled two ways:
   pack's content identity -- schema, version, kind, sha256 -- for any
   run that named a workload pack;
 * the optional *meta* envelope (written since the backend split,
-  never hashed) additionally carries the pack *name* and the shard
-  key.
+  never hashed) additionally carries the pack *name*.
 
 ``ls``/``gc`` filters therefore match pack versions and sha prefixes
 on every document, while pack-*name* filters only match documents new
@@ -67,7 +66,6 @@ class DocumentInfo:
     pack_name: str | None
     pack_version: int | None
     pack_sha256: str | None
-    shard: str | None
     campaign: str | None = None
 
     @classmethod
@@ -83,7 +81,6 @@ class DocumentInfo:
             pack_name=meta_pack.get("name"),
             pack_version=pack.get("version", meta_pack.get("version")),
             pack_sha256=pack.get("sha256", meta_pack.get("sha256")),
-            shard=meta.get("shard"),
             campaign=meta.get("campaign"),
         )
 
@@ -222,7 +219,7 @@ def migrate_store(
     """Copy every document from ``source`` into a ``to``-format ``dest``.
 
     The copy preserves documents verbatim (same JSON trees, same
-    fingerprints, shard hints taken from each document's meta), then
+    fingerprints), then
     re-reads every fingerprint from the destination and compares the
     canonical JSON serialization -- the bit-identity check behind
     ``repro store migrate``.
@@ -251,8 +248,7 @@ def migrate_store(
     writer = open_backend(dest, to)
     migrated = 0
     for fingerprint, document in reader.scan():
-        shard = (document.get("meta") or {}).get("shard")
-        writer.put(fingerprint, document, shard=shard)
+        writer.put(fingerprint, document)
         migrated += 1
     mismatched = []
     for fingerprint, document in reader.scan():

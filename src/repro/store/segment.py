@@ -236,9 +236,7 @@ class SegmentBackend:
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
 
-    def put(
-        self, fingerprint: str, document: dict, shard: str | None = None
-    ) -> None:
+    def put(self, fingerprint: str, document: dict) -> None:
         """Append one document to this instance's segment."""
         payload = json.dumps(document).encode()
         with self._lock:

@@ -6,13 +6,13 @@ import json
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
-import pytest
-
-from repro.experiments.orchestrator import RunRequest
+from repro.experiments.orchestrator import RunFuture, RunRequest
 from repro.service.protocol import (
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
+    encode_batch,
+    encode_poll,
     encode_request,
 )
 from repro.workload.packs import (
@@ -46,6 +46,18 @@ def post(url, path, payload):
         return error.code, json.loads(error.read())
 
 
+def poll_stream(url, fingerprints, wait_s=60.0):
+    """``POST /runs/poll`` with ``wait>0``: the streamed JSON lines."""
+    request = urllib.request.Request(
+        url + "/runs/poll",
+        data=json.dumps(encode_poll(fingerprints, wait_s)).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=wait_s + 30) as response:
+        return [json.loads(line) for line in response if line.strip()]
+
+
 class TestHealthAndStats:
     def test_healthz(self, daemon):
         status, payload = get(daemon.url, "/healthz")
@@ -58,7 +70,6 @@ class TestHealthAndStats:
         assert payload.pop("engine_modes") == {}
         assert payload == {
             "wire_version": WIRE_VERSION,
-            "supported_wire_versions": list(SUPPORTED_WIRE_VERSIONS),
             "kind": "health",
             "status": "ok",
             "daemon_id": daemon.daemon_id,
@@ -142,11 +153,21 @@ class TestSubmitAndPoll:
         connection.close()
 
     def test_version_mismatch_400(self, daemon, tiny_requests):
-        payload = encode_request(tiny_requests[0])
-        payload["wire_version"] = 99
-        status, answer = post(daemon.url, "/runs", payload)
-        assert status == 400
-        assert "version" in answer["error"]
+        """Any version but WIRE_VERSION -- the retired 1 included --
+        is refused on every POST endpoint."""
+        request = tiny_requests[0]
+        for version in (1, 99):
+            envelopes = {
+                "/runs": encode_request(request),
+                "/runs/batch": encode_batch([encode_request(request)]),
+                "/runs/poll": encode_poll([request.fingerprint()]),
+            }
+            for path, payload in envelopes.items():
+                payload["wire_version"] = version
+                status, answer = post(daemon.url, path, payload)
+                assert status == 400, (version, path)
+                assert "version" in answer["error"], (version, path)
+        assert daemon.counters["computed"] == 0
 
     def test_version_checked_even_on_warm_fingerprints(
         self, daemon, tiny_requests
@@ -158,11 +179,12 @@ class TestSubmitAndPoll:
         warm = encode_request(request)
         status, _ = post(daemon.url, "/runs", warm)
         assert status == 200  # cached
-        bad = dict(warm)
-        bad["wire_version"] = 99
-        status, answer = post(daemon.url, "/runs", bad)
-        assert status == 400
-        assert "wire version" in answer["error"]
+        for version in (1, 99):
+            bad = dict(warm)
+            bad["wire_version"] = version
+            status, answer = post(daemon.url, "/runs", bad)
+            assert status == 400
+            assert "wire version" in answer["error"]
 
     def test_fingerprint_mismatch_409(self, daemon, tiny_requests):
         payload = encode_request(tiny_requests[0])
@@ -195,13 +217,10 @@ class TestSubmitAndPoll:
         assert status == 500
         assert payload["kind"] == "error"
         assert "steps per slot" in payload["error"]
-        # The stream endpoint reports the recorded error too (the run
+        # The streamed poll reports the recorded error too (the run
         # is neither stored nor in flight by now -- it must not be
         # misreported as an unknown fingerprint).
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?fp={request.fingerprint()}", timeout=10
-        ) as response:
-            lines = [json.loads(line) for line in response if line.strip()]
+        lines = poll_stream(daemon.url, [request.fingerprint()], 1.0)
         assert lines[0]["kind"] == "error"
         assert lines[0]["status"] == 500
         assert "steps per slot" in lines[0]["error"]
@@ -217,6 +236,8 @@ class TestSubmitAndPoll:
 
 
 class TestStreamEndpoint:
+    """``POST /runs/poll`` with ``wait>0`` streams in completion order."""
+
     def test_stream_returns_all_in_completion_order(
         self, daemon, tiny_requests
     ):
@@ -225,26 +246,59 @@ class TestStreamEndpoint:
             status, _ = post(daemon.url, "/runs", encode_request(request))
             assert status in (200, 202)
             fingerprints.append(request.fingerprint())
-        query = "&".join(f"fp={fp}" for fp in fingerprints)
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?{query}&wait=60", timeout=90
-        ) as response:
-            lines = [
-                json.loads(line) for line in response if line.strip()
-            ]
+        lines = poll_stream(daemon.url, fingerprints)
         kinds = {line["kind"] for line in lines}
         assert kinds == {"run_artifact"}
         assert {line["fingerprint"] for line in lines} == set(fingerprints)
+        assert all(line["wire_version"] == WIRE_VERSION for line in lines)
 
     def test_stream_requires_fingerprints(self, daemon):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{daemon.url}/runs?wait=1", timeout=10)
-        assert excinfo.value.code == 400
+        payload = encode_poll([], 1.0)
+        del payload["fingerprints"]
+        status, answer = post(daemon.url, "/runs/poll", payload)
+        assert status == 400
+        assert "fingerprints" in answer["error"]
 
     def test_stream_reports_unknown_fingerprints(self, daemon):
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?fp={'0' * 64}", timeout=10
-        ) as response:
-            lines = [json.loads(line) for line in response if line.strip()]
+        lines = poll_stream(daemon.url, ["0" * 64], 1.0)
         assert lines[0]["kind"] == "error"
         assert lines[0]["status"] == 404
+
+    def test_retired_stream_route_is_gone(self, daemon, tiny_requests):
+        status, _ = get(
+            daemon.url, f"/runs?fp={tiny_requests[0].fingerprint()}"
+        )
+        assert status == 404
+
+
+class TestNonFiniteWait:
+    def test_nan_wait_refused_promptly(
+        self, daemon, tiny_requests, monkeypatch
+    ):
+        """A NaN deadline never expires: it must be refused up front,
+        not spin the handler until the run finishes."""
+        gate: Future = Future()
+        monkeypatch.setattr(
+            daemon.orchestrator,
+            "launch",
+            lambda request, fingerprint: RunFuture(
+                request, fingerprint, gate
+            ),
+        )
+        request = tiny_requests[0]
+        fingerprint = request.fingerprint()
+        try:
+            status, _ = post(daemon.url, "/runs", encode_request(request))
+            assert status == 202
+            for spelling in ("nan", "inf", "-inf"):
+                start = time.monotonic()
+                status, answer = get(
+                    daemon.url, f"/runs/{fingerprint}?wait={spelling}"
+                )
+                assert status == 400, spelling
+                assert "finite" in answer["error"]
+                assert time.monotonic() - start < 2.0
+            status, _ = get(daemon.url, f"/runs/{fingerprint}")
+            assert status == 202  # the run itself is untouched
+        finally:
+            gate.set_exception(RuntimeError("released by the test"))

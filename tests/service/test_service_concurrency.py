@@ -9,7 +9,7 @@ import time
 import urllib.request
 
 from repro.service import ServiceClient
-from repro.service.protocol import encode_request
+from repro.service.protocol import encode_poll, encode_request
 
 
 def _stats(url: str) -> dict:
@@ -133,7 +133,7 @@ class TestAbandonedConnections:
     def test_disconnect_mid_stream_does_not_wedge(
         self, daemon, tiny_requests
     ):
-        """Same for the streaming endpoint."""
+        """Same for the streamed poll (``POST /runs/poll``, wait>0)."""
         fingerprints = []
         for request in tiny_requests[:2]:
             body = json.dumps(encode_request(request)).encode()
@@ -147,11 +147,13 @@ class TestAbandonedConnections:
             ).read()
             fingerprints.append(request.fingerprint())
         host, port = daemon.address
-        query = "&".join(f"fp={fp}" for fp in fingerprints)
+        poll = json.dumps(encode_poll(fingerprints, 30.0)).encode()
         rogue = socket.create_connection((host, port), timeout=10)
         rogue.sendall(
-            f"GET /runs?{query}&wait=30 HTTP/1.1\r\n"
-            f"Host: {host}\r\n\r\n".encode()
+            f"POST /runs/poll HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(poll)}\r\n\r\n".encode()
+            + poll
         )
         time.sleep(0.05)
         rogue.close()

@@ -19,7 +19,9 @@ from repro.service.protocol import (
     decode_request,
     encode_artifact,
     encode_error,
+    decode_poll,
     encode_pending,
+    encode_poll,
     encode_request,
 )
 from repro.sim.config import scaled_config
@@ -58,10 +60,12 @@ class TestRequestEnvelope:
 
     def test_version_mismatch_refused(self, request_and_artifact):
         request, _ = request_and_artifact
-        payload = encode_request(request)
-        payload["wire_version"] = WIRE_VERSION + 1
-        with pytest.raises(WireError, match="version"):
-            decode_request(payload)
+        # 1 is the retired first wire version: refused like any other.
+        for version in (1, WIRE_VERSION + 1):
+            payload = encode_request(request)
+            payload["wire_version"] = version
+            with pytest.raises(WireError, match="version"):
+                decode_request(payload)
 
     def test_wrong_kind_refused(self, request_and_artifact):
         request, _ = request_and_artifact
@@ -106,10 +110,23 @@ class TestArtifactEnvelope:
 
     def test_version_checked(self, request_and_artifact):
         _, artifact = request_and_artifact
-        payload = encode_artifact(artifact)
-        payload["wire_version"] = 99
-        with pytest.raises(WireError, match="version"):
-            decode_artifact(payload)
+        for version in (1, 99):
+            payload = encode_artifact(artifact)
+            payload["wire_version"] = version
+            with pytest.raises(WireError, match="version"):
+                decode_artifact(payload)
+
+
+class TestPollEnvelope:
+    def test_non_finite_wait_refused(self):
+        """A NaN wait would never compare past a deadline daemon-side."""
+        body = json.dumps(encode_poll(["ab" * 32], 1.0))
+        for spelling in ("NaN", "Infinity", "-Infinity"):
+            payload = json.loads(
+                body.replace('"wait": 1.0', f'"wait": {spelling}')
+            )
+            with pytest.raises(WireError, match="finite"):
+                decode_poll(payload)
 
 
 class TestAuxiliaryEnvelopes:

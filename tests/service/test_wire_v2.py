@@ -1,4 +1,4 @@
-"""Wire v2: version skew, gzip, batching, projections, hardening."""
+"""Wire v2: gzip, batching, projections, hardening."""
 
 from __future__ import annotations
 
@@ -63,101 +63,13 @@ def warm(daemon, requests):
         client.run_many(requests)
 
 
-class TestV1ClientAgainstV2Server:
-    """Old-wire single-POST clients must keep working verbatim."""
-
-    def test_v1_submit_poll_round_trip(self, daemon, tiny_requests):
-        request = tiny_requests[0]
-        fingerprint = request.fingerprint()
-        envelope = encode_request(request, wire_version=1)
-        assert envelope["wire_version"] == 1
-        assert "detail" not in envelope  # v1 envelopes know no detail
-
-        status, payload = post(daemon.url, "/runs", envelope)
-        assert status == 202
-        assert payload == {
-            "wire_version": 1,
-            "kind": "pending",
-            "fingerprint": fingerprint,
-        }
-
-        status, payload = get(daemon.url, f"/runs/{fingerprint}?wait=60")
-        assert status == 200
-        assert payload["wire_version"] == 1  # echoed, not upgraded
-        assert "detail" not in payload
-        assert "headline" not in payload
-        result = RunResult.from_dict(payload["result"])
-        assert result.policy_name == request.policy.name
-
-        # Warm resubmission stays a v1 reply too (the variant cache
-        # keys on the request's version).
-        status, payload = post(daemon.url, "/runs", envelope)
-        assert status == 200
-        assert payload["wire_version"] == 1
-        assert "result" in payload
-
-    def test_v1_stream_lines_are_v1(self, daemon, tiny_requests):
-        request = tiny_requests[0]
-        warm(daemon, [request])
-        with urllib.request.urlopen(
-            f"{daemon.url}/runs?fp={request.fingerprint()}", timeout=60
-        ) as response:
-            lines = [json.loads(line) for line in response if line.strip()]
-        assert lines[0]["kind"] == "run_artifact"
-        assert lines[0]["wire_version"] == 1
-        assert "result" in lines[0]
-
-
-class TestV2ClientAgainstV1Server:
-    # The v1 stub daemon (and the v1_stub fixture) live in conftest.py,
-    # shared with the fleet tests' concurrent pin-down coverage.
-
-    def test_ping_negotiates_down(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        assert client.wire_version == WIRE_VERSION
-        client.ping()
-        assert client.wire_version == 1
-        artifact = client.run(request)
-        assert artifact.fingerprint == request.fingerprint()
-        # Every envelope that went over the wire was clean v1.
-        assert posts, "client never POSTed"
-        for _, payload in posts:
-            assert payload["wire_version"] == 1
-            assert "detail" not in payload
-        client.close()
-
-    def test_unnegotiated_submit_downgrades_once(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        artifact = client.run(request)  # no ping() first
-        assert artifact.fingerprint == request.fingerprint()
-        assert client.wire_version == 1
-        # First attempt spoke v2, got refused, retried at v1 -- once.
-        versions = [p["wire_version"] for _, p in posts]
-        assert versions == [WIRE_VERSION, 1]
-        client.close()
-
-    def test_submit_many_falls_back_to_per_request(self, v1_stub):
-        url, request, posts = v1_stub
-        client = ServiceClient(url)
-        futures = client.submit_many([request, request])
-        assert len(futures) == 2
-        assert futures[0].result(timeout=30).fingerprint == (
-            request.fingerprint()
-        )
-        # The v1 path never touches the batch endpoints.
-        assert {path for path, _ in posts} == {"/runs"}
-        client.close()
-
-
 class TestGzip:
     def test_response_gzip_negotiation_round_trips(
         self, daemon, tiny_requests
     ):
         request = tiny_requests[0]
         warm(daemon, [request])
-        path = f"/runs/{request.fingerprint()}?v=2&detail=full"
+        path = f"/runs/{request.fingerprint()}?detail=full"
         status, headers, identity = raw(daemon.address, "GET", path)
         assert status == 200
         assert "Content-Encoding" not in headers
@@ -239,11 +151,11 @@ class TestDetailProjection:
         warm(daemon, [request])
         fingerprint = request.fingerprint()
         status, full_payload = get(
-            daemon.url, f"/runs/{fingerprint}?v=2&detail=full"
+            daemon.url, f"/runs/{fingerprint}?detail=full"
         )
         assert status == 200
         status, head_payload = get(
-            daemon.url, f"/runs/{fingerprint}?v=2&detail=headline"
+            daemon.url, f"/runs/{fingerprint}?detail=headline"
         )
         assert status == 200
         assert head_payload["detail"] == "headline"
@@ -316,7 +228,7 @@ class TestDetailProjection:
 
     def test_bad_detail_rejected(self, daemon, tiny_requests):
         status, payload = get(
-            daemon.url, f"/runs/{'0' * 64}?v=2&detail=everything"
+            daemon.url, f"/runs/{'0' * 64}?detail=everything"
         )
         assert status == 400
         assert "detail" in payload["error"]
@@ -384,10 +296,10 @@ class TestBatchEndpoints:
             artifacts = client.run_many(tiny_requests)
         after = get(daemon.url, "/stats")[1]["requests"]
         assert len(artifacts) == len(tiny_requests)
-        # One negotiation ping + one chunked poll settles the whole
-        # warm sweep -- not one POST per request.
-        assert after - before <= 3
-        assert after - before < len(tiny_requests)
+        # One chunked poll settles the whole warm sweep -- not one
+        # POST per request, and no negotiation round trip (the second
+        # request counted is the closing /stats itself).
+        assert after - before == 2
 
     def test_wire_counters_observe_batching(self, daemon, tiny_requests):
         with ServiceClient(daemon.url) as client:

@@ -6,21 +6,18 @@ import json
 import pytest
 
 from repro.store import (
-    DEFAULT_SHARD,
     JsonFileBackend,
     MARKER_NAME,
     ResultStore,
     SegmentBackend,
-    ShardedBackend,
     detect_format,
     open_backend,
-    shard_slug,
 )
+from repro.store.base import write_marker
 from repro.store.segment import INDEX_DTYPE
 
 BACKENDS = {
     "json": JsonFileBackend,
-    "sharded": ShardedBackend,
     "segment": SegmentBackend,
 }
 
@@ -100,10 +97,18 @@ class TestAutoDetection:
         assert isinstance(open_backend(tmp_path), JsonFileBackend)
 
     def test_sharded_root_detected_via_marker(self, tmp_path):
-        ShardedBackend(tmp_path).put(fp(1), doc(1), shard="packA")
-        assert (tmp_path / MARKER_NAME).exists()
+        """The retired sharded layout is recognized -- and refused by
+        name, never misread as a virgin or per-file root."""
+        write_marker(tmp_path, "sharded")
+        JsonFileBackend(tmp_path / "shards" / "packA").put(fp(1), doc(1))
         assert detect_format(tmp_path) == "sharded"
-        assert isinstance(open_backend(tmp_path), ShardedBackend)
+        for name in ("auto", "json", "segment"):
+            with pytest.raises(ValueError, match="'sharded'"):
+                open_backend(tmp_path, name)
+        with pytest.raises(ValueError, match="'sharded'"):
+            ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="unknown store backend"):
+            open_backend(tmp_path / "virgin", "sharded")
 
     def test_segment_root_detected_via_marker(self, tmp_path):
         SegmentBackend(tmp_path).put(fp(1), doc(1))
@@ -129,34 +134,6 @@ class TestAutoDetection:
         assert isinstance(
             open_backend(tmp_path, "json"), JsonFileBackend
         )
-
-
-class TestShardedLayout:
-    def test_documents_land_in_shard_directories(self, tmp_path):
-        backend = ShardedBackend(tmp_path)
-        backend.put(fp(1), doc(1), shard="pack-a")
-        backend.put(fp(2), doc(2), shard="pack-b")
-        backend.put(fp(3), doc(3))
-        assert backend.shards() == [DEFAULT_SHARD, "pack-a", "pack-b"]
-        path = tmp_path / "shards" / "pack-a" / "v1" / fp(1)[:2]
-        assert (path / f"{fp(1)}.json").exists()
-
-    def test_fetch_probes_shards(self, tmp_path):
-        ShardedBackend(tmp_path).put(fp(1), doc(1), shard="pack-a")
-        fresh = ShardedBackend(tmp_path)
-        assert fresh.fetch(fp(1)) == doc(1)
-
-    def test_hostile_shard_names_sanitized(self, tmp_path):
-        backend = ShardedBackend(tmp_path)
-        backend.put(fp(1), doc(1), shard="../../etc/passwd")
-        (shard_dir,) = (tmp_path / "shards").iterdir()
-        assert shard_dir.parent == tmp_path / "shards"
-        assert ".." not in shard_dir.name
-
-    def test_shard_slug(self):
-        assert shard_slug(None) == "default"
-        assert shard_slug("trace pack v2!") == "trace-pack-v2"
-        assert len(shard_slug("x" * 200)) <= 64
 
 
 class TestSegmentLayout:
@@ -273,16 +250,19 @@ class TestResultStoreBackends:
         assert warm.source == "disk"
         assert warm.result.slots == cold.result.slots
 
-    def test_sharded_store_routes_by_config_name(self, tmp_path):
-        artifact = self.run_one(ResultStore(tmp_path, backend="sharded"))
-        assert artifact.source == "computed"
-        assert (tmp_path / "shards" / "tiny").is_dir()
-
-    def test_document_meta_records_shard(self, tmp_path):
-        store = ResultStore(tmp_path, backend="segment")
-        self.run_one(store)
-        ((_, document),) = list(store.documents())
-        assert document["meta"]["shard"] == "tiny"
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_legacy_shard_meta_still_loads(self, tmp_path, name):
+        """Documents written before the sharded layout was retired
+        carry a ``meta.shard`` label; they resolve warm unchanged."""
+        cold = self.run_one(ResultStore(tmp_path, backend=name))
+        backend = open_backend(tmp_path, name)
+        document = backend.fetch(cold.fingerprint)
+        assert "shard" not in document.get("meta", {})
+        document["meta"] = {**document.get("meta", {}), "shard": "tiny"}
+        backend.put(cold.fingerprint, document)
+        warm = self.run_one(ResultStore(tmp_path, backend=name))
+        assert warm.source == "disk"
+        assert warm.result.slots == cold.result.slots
 
     def test_memory_only_store_has_no_backend(self):
         store = ResultStore()
@@ -312,23 +292,6 @@ class TestMarkerFile:
         SegmentBackend(tmp_path).put(fp(1), doc(1))
         payload = json.loads((tmp_path / MARKER_NAME).read_text())
         assert payload == {"format": "segment", "store_version": 1}
-
-
-class TestShardedRerouting:
-    def test_rehinted_fingerprint_overwrites_in_place(self, tmp_path):
-        """A fingerprint rerun with a different shard hint (e.g. a
-        renamed pack, which keeps its fingerprint by design) must not
-        duplicate the document across shards."""
-        backend = ShardedBackend(tmp_path)
-        backend.put(fp(1), doc(1), shard="pack-old")
-        backend.put(fp(1), doc(1, extra="rerun"), shard="pack-new")
-        assert backend.count() == 1
-        assert backend.fetch(fp(1))["extra"] == "rerun"
-        assert backend.shards() == ["pack-old"]  # overwritten in place
-        fresh = ShardedBackend(tmp_path)
-        assert fresh.count() == 1
-        assert backend.delete(fp(1)) is True
-        assert ShardedBackend(tmp_path).count() == 0
 
 
 class TestResultStoreBackendInstance:

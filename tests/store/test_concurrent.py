@@ -188,7 +188,7 @@ def test_property_puts_and_tombstones_converge(data):
     """Random put/delete interleavings converge for a fresh reader.
 
     Each key is owned by one writer (the orchestrator's discipline:
-    a fingerprint's shard/writer is deterministic), so its appends
+    a fingerprint's writer is deterministic), so its appends
     replay in program order; interleavings *across* keys and writers
     are arbitrary.
     """

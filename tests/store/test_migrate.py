@@ -13,7 +13,6 @@ from repro.store import (
     ResultStore,
     SegmentBackend,
     migrate_store,
-    open_backend,
 )
 
 
@@ -68,14 +67,6 @@ class TestMigrateToSegment:
         cold = Orchestrator(store=ResultStore()).run_many(tiny_requests())
         for warm_artifact, cold_artifact in zip(warm, cold):
             assert warm_artifact.result.slots == cold_artifact.result.slots
-
-    def test_migrate_to_sharded_routes_by_meta(self, v1_root, tmp_path):
-        report = migrate_store(v1_root, tmp_path / "sh", to="sharded")
-        assert report.verified
-        backend = open_backend(tmp_path / "sh")
-        assert backend.format == "sharded"
-        # v1 documents carry meta with the config-name shard key.
-        assert backend.shards() == ["tiny"]
 
     def test_migration_merges_into_existing_dest(self, v1_root, tmp_path):
         dest = tmp_path / "seg"

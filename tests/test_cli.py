@@ -250,11 +250,6 @@ class TestStoreBackendFlag:
         assert invocations == []
         assert capsys.readouterr().out == first
 
-    def test_sharded_backend_routes_by_config(self, capsys, tmp_path):
-        store = tmp_path / "shstore"
-        assert main(self.argv(store, "sharded")) == 0
-        assert (store / "shards" / "tiny").is_dir()
-
     def test_backend_conflict_rejected(self, capsys, tmp_path):
         store = tmp_path / "plain"
         assert main(self.argv(store)) == 0  # per-file layout
