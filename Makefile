@@ -19,7 +19,9 @@
 #                      campaign-ledger overhead gate (bench_suite:
 #                      1k-run warm sweep, suite <= 1.10x raw
 #                      submit_many -> BENCH_suite.json) and the
-#                      data-correlation generation (loop vs vectorized)
+#                      data-correlation generation (loop oracle vs
+#                      batched), each hot path against its oracle
+#                      in tests/oracles/
 #   make bench       - full benchmark harness (slow: one-week comparison)
 
 PYTEST := PYTHONPATH=src python -m pytest

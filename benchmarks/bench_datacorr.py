@@ -1,13 +1,14 @@
-"""Data-correlation generation: reference loop vs batched path.
+"""Data-correlation generation: loop oracle vs batched path.
 
-The ROADMAP profile showed ``DataCorrelationProcess.volumes`` -- an
-O(n^2) per-pair Python loop invoked twice per engine slot -- dominating
-small-scale runs once the engine physics were vectorized.  This
-benchmark measures the batched replacement:
+The ROADMAP profile showed ``DataCorrelationProcess.volumes`` -- then
+an O(n^2) per-pair Python loop invoked twice per engine slot --
+dominating small-scale runs once the engine physics were batched.
+This benchmark measures the batched replacement against that loop,
+which now lives in ``tests/oracles/datacorr.py``:
 
 * **bit-identity** -- at every population size {1, 2, 50, 200} the
   batched matrices must equal the loop's exactly (the same guarantee
-  the engine's other vectorized hot paths carry);
+  the engine's other batched hot paths carry);
 * **per-slot speedup** -- at n=200 the batched path must be at least
   10x faster per slot than the loop, measured warm (base volumes
   cached in both implementations, which is the engine's steady state).
@@ -23,6 +24,7 @@ import numpy as np
 
 from conftest import make_vm
 from repro.workload.datacorr import DataCorrelationProcess
+from tests.oracles.datacorr import volumes_loop
 
 #: Population sizes the equivalence sweep covers.
 SIZES = (1, 2, 50, 200)
@@ -46,21 +48,25 @@ def population(n: int) -> list:
     ]
 
 
-def processes(seed: int = 17) -> tuple[DataCorrelationProcess, DataCorrelationProcess]:
-    loop = DataCorrelationProcess(seed=seed, vectorized=False)
-    batched = DataCorrelationProcess(seed=seed, vectorized=True)
-    return loop, batched
+def processes(seed: int = 17):
+    """``(loop, batched)`` volume callables over separate processes."""
+    loop = DataCorrelationProcess(seed=seed)
+    batched = DataCorrelationProcess(seed=seed)
+    return (
+        lambda vms, slot: volumes_loop(loop, vms, slot),
+        batched.volumes,
+    )
 
 
-def best_slot_time(process: DataCorrelationProcess, vms: list) -> float:
+def best_slot_time(volumes, vms: list) -> float:
     """Best-of-repeats mean seconds per ``volumes`` call, warm."""
-    process.volumes(vms, 0)  # warm the per-pair base draws / matrices
+    volumes(vms, 0)  # warm the per-pair base draws / matrices
     best = float("inf")
     slot = 1
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(SLOTS_PER_REPEAT):
-            process.volumes(vms, slot)
+            volumes(vms, slot)
             slot += 1
         best = min(best, (time.perf_counter() - start) / SLOTS_PER_REPEAT)
     return best
@@ -72,8 +78,8 @@ def test_datacorr_bit_identical_across_sizes():
         vms = population(n)
         loop, batched = processes()
         for slot in (0, 9):
-            reference = loop.volumes(vms, slot)
-            candidate = batched.volumes(vms, slot)
+            reference = loop(vms, slot)
+            candidate = batched(vms, slot)
             assert candidate.vm_ids == reference.vm_ids
             assert np.array_equal(candidate.volumes, reference.volumes), (
                 f"n={n} slot={slot} diverged"

@@ -1,12 +1,12 @@
 """Fleet-batched slot physics: one kernel pass vs the reference loops.
 
 The engine's per-slot physics -- every DC's IT power, PUE scaling and
-green-controller pass -- historically ran DC by DC: a fresh CSR
-membership matrix per DC (or the per-server/per-VM reference loops)
+green-controller pass -- historically ran DC by DC: the
+per-server/per-VM loops (now the oracle in ``tests/oracles/kernel.py``)
 and one scalar ``GreenController.run_slot`` per DC.  The fleet-batched
 kernel evaluates the whole placement at once: one CSR product with
-block rows per DC (``SimulationEngine._fleet_it_power``), one batched
-PUE broadcast, and one ``GreenController.run_slot_fleet`` pass.
+block rows per DC (``SlotKernel._fleet_it_power``), one batched PUE
+broadcast, and one ``GreenController.run_slot_fleet`` pass.
 
 This benchmark drives both paths over a synthetic paper-scale slot --
 Table I's 1500/1000/500-server fleet, 5 s control steps (720 per
@@ -41,6 +41,7 @@ from repro.datacenter.server import XEON_E5410
 from repro.sim.config import build_datacenters, paper_config
 from repro.sim.engine import SimulationEngine
 from repro.units import SECONDS_PER_HOUR
+from tests.oracles.kernel import dc_it_power_loop
 
 #: Concurrent VMs, split 3:2:1 over the fleet like the servers (the
 #: paper's arrival process sustains thousands of VMs at steady state).
@@ -59,9 +60,9 @@ REQUIRED_SPEEDUP = 3.0
 
 @pytest.fixture(scope="module")
 def physics():
-    """Engine, fleet and a paper-scale placement for one slot."""
+    """Kernel, fleet and a paper-scale placement for one slot."""
     config = paper_config().with_horizon(1)
-    engine = SimulationEngine(config, EnerAwarePolicy())
+    kernel = SimulationEngine(config, EnerAwarePolicy()).kernel
     dcs = build_datacenters(config)
     rng = np.random.default_rng(0)
     demand = rng.uniform(0.05, 0.8, size=(N_VMS, config.steps_per_slot))
@@ -93,32 +94,32 @@ def physics():
     for dc in dcs:
         dc.pv.power_watts(base_times)
         dc.pv.power_watts(base_times + 24 * SECONDS_PER_HOUR)
-    return engine, dcs, placement, vm_rows, demand, base_times
+    return kernel, dcs, placement, vm_rows, demand, base_times
 
 
 def reference_slot(physics_tuple, slot):
-    """One slot of per-DC loop physics (the ``vectorized=False`` path)."""
-    engine, dcs, placement, vm_rows, demand, base_times = physics_tuple
+    """One slot of per-DC loop physics (the loop oracle)."""
+    kernel, dcs, placement, vm_rows, demand, base_times = physics_tuple
     times = base_times + slot * SECONDS_PER_HOUR
     ledgers = []
     for dc in dcs:
-        it_power, _ = engine._dc_it_power_loop(
-            placement, dc.index, vm_rows, demand
+        it_power, _ = dc_it_power_loop(
+            kernel, placement, dc.index, vm_rows, demand
         )
         facility = it_power * dc.spec.pue_model.pue(times)
-        ledgers.append(engine.green.run_slot(dc, slot, facility))
+        ledgers.append(kernel.green.run_slot(dc, slot, facility))
     return ledgers
 
 
 def fleet_slot(physics_tuple, slot):
-    """One slot of fleet-batched physics (the ``vectorized=True`` path)."""
-    engine, dcs, placement, vm_rows, demand, base_times = physics_tuple
+    """One slot of fleet-batched physics (the production path)."""
+    kernel, dcs, placement, vm_rows, demand, base_times = physics_tuple
     times = base_times + slot * SECONDS_PER_HOUR
-    it_matrix, _ = engine._fleet_it_power(placement, vm_rows, demand)
+    it_matrix, _ = kernel._fleet_it_power(placement, vm_rows, demand)
     facility = it_matrix * fleet_pue(
         [dc.spec.pue_model for dc in dcs], times
     )
-    return engine.green.run_slot_fleet(dcs, slot, facility)
+    return kernel.green.run_slot_fleet(dcs, slot, facility)
 
 
 def reset_batteries(dcs):

@@ -3,9 +3,9 @@
 The paper argues the two-phase split keeps the controller cheap enough
 for real-time hourly invocation.  These micro-benchmarks time each
 phase (embedding, constrained k-means, Algorithm 2, local allocation)
-on synthetic fleets of growing size, plus the engine's per-slot
-physics hot paths (`_dc_it_power`, `_response_latencies`) in both the
-reference-loop and vectorized implementations -- the vectorized path
+on synthetic fleets of growing size, plus the slot kernel's per-slot
+physics hot paths (`_fleet_it_power`, `_response_latencies`) against
+their loop oracles in `tests/oracles/kernel.py` -- the batched path
 must be measurably faster per slot while staying bit-identical.
 """
 
@@ -24,6 +24,7 @@ from repro.network.latency import LatencyModel
 from repro.network.topology import GeoTopology
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from tests.oracles.kernel import dc_it_power_loop, response_latencies_loop
 
 
 def synthetic_inputs(n_vms: int, steps: int = 60, seed: int = 0):
@@ -112,15 +113,21 @@ class _SyntheticPlacement:
         self.assignment = assignment
 
 
-def _physics_engine(steps: int) -> SimulationEngine:
+def _physics_kernel(steps: int, n_dcs: int = 3):
+    """A slot kernel over the first ``n_dcs`` tiny-scale sites."""
     import dataclasses
 
     from repro.baselines import EnerAwarePolicy
 
+    tiny = scaled_config("tiny")
     config = dataclasses.replace(
-        scaled_config("tiny"), name="bench", horizon_slots=1, steps_per_slot=steps
+        tiny,
+        name="bench",
+        specs=tiny.specs[:n_dcs],
+        horizon_slots=1,
+        steps_per_slot=steps,
     )
-    return SimulationEngine(config, EnerAwarePolicy())
+    return SimulationEngine(config, EnerAwarePolicy()).kernel
 
 
 def _it_power_inputs(n_vms: int, steps: int = 720, seed: int = 0):
@@ -134,29 +141,33 @@ def _it_power_inputs(n_vms: int, steps: int = 720, seed: int = 0):
     return placement, vm_rows, demand
 
 
-@pytest.mark.parametrize("impl", ["loop", "vectorized"])
+@pytest.mark.parametrize("impl", ["loop", "batched"])
 @pytest.mark.parametrize("n_vms", [300, 1000])
 def test_it_power_per_slot(benchmark, impl, n_vms):
-    """Per-slot IT-power: vectorized segment sums vs reference loops."""
-    engine = _physics_engine(steps=720)
+    """Per-slot IT-power of a one-DC placement: the fleet CSR product
+    vs the loop oracle."""
+    kernel = _physics_kernel(steps=720, n_dcs=1)
     placement, vm_rows, demand = _it_power_inputs(n_vms)
-    path = (
-        engine._dc_it_power_vectorized
-        if impl == "vectorized"
-        else engine._dc_it_power_loop
-    )
-    power, active = benchmark(path, placement, 0, vm_rows, demand)
-    reference, _ = engine._dc_it_power_loop(placement, 0, vm_rows, demand)
+    reference, _ = dc_it_power_loop(kernel, placement, 0, vm_rows, demand)
+    if impl == "batched":
+        power, actives = benchmark(
+            kernel._fleet_it_power, placement, vm_rows, demand
+        )
+        power, active = power[0], actives[0]
+    else:
+        power, active = benchmark(
+            dc_it_power_loop, kernel, placement, 0, vm_rows, demand
+        )
     assert np.array_equal(power, reference)
     assert active == placement.allocations[0].active_servers
 
 
-@pytest.mark.parametrize("impl", ["loop", "vectorized"])
+@pytest.mark.parametrize("impl", ["loop", "batched"])
 @pytest.mark.parametrize("n_vms", [150, 450])
 def test_response_latencies_per_slot(benchmark, impl, n_vms):
     """Per-slot Eq. 1 evaluation: grouped volume matrix vs dict loops."""
     rng = np.random.default_rng(3)
-    engine = _physics_engine(steps=60)
+    kernel = _physics_kernel(steps=60)
     vms = [
         make_vm(vm_id=i, service_id=i // 5, seed=i) for i in range(n_vms)
     ]
@@ -165,12 +176,13 @@ def test_response_latencies_per_slot(benchmark, impl, n_vms):
     placement = _SyntheticPlacement(
         assignment={vm.vm_id: int(rng.integers(0, 3)) for vm in vms}
     )
-    path = (
-        engine._response_latencies_vectorized
-        if impl == "vectorized"
-        else engine._response_latencies_loop
-    )
-    latencies = benchmark(path, placement, vms, volumes, 5)
-    assert latencies == engine._response_latencies_loop(
-        placement, vms, volumes, 5
-    )
+    reference = response_latencies_loop(kernel, placement, vms, volumes, 5)
+    if impl == "batched":
+        latencies = benchmark(
+            kernel._response_latencies, placement, vms, volumes, 5
+        )
+    else:
+        latencies = benchmark(
+            response_latencies_loop, kernel, placement, vms, volumes, 5
+        )
+    assert latencies == reference

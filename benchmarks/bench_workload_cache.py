@@ -45,7 +45,7 @@ from repro.experiments.orchestrator import (
     RunRequest,
 )
 from repro.experiments.runner import default_policies
-from repro.sim.config import scaled_config
+from repro.sim.config import EngineCoreConfig, scaled_config
 from repro.workload.packs import RecordedTraceSource, TracePack
 
 #: Minimum cold-sweep speedup of cache+sticky over cache-off.
@@ -58,7 +58,7 @@ JOBS = 2
 HORIZON = 8
 
 def _sweep_requests() -> list[RunRequest]:
-    """The canonical sweep: 3 baselines x (validate x clairvoyant).
+    """The canonical sweep: 3 baselines x (engine driver x clairvoyant).
 
     Twelve runs, one materialization key -- fresh policy instances per
     request (policies carry cross-slot state).
@@ -69,10 +69,10 @@ def _sweep_requests() -> list[RunRequest]:
             config=config,
             policy=policy,
             options=EngineOptions(
-                validate=validate, clairvoyant=clairvoyant
+                clairvoyant=clairvoyant, engine=EngineCoreConfig(kind=kind)
             ),
         )
-        for validate in (False, True)
+        for kind in ("slot", "event")
         for clairvoyant in (False, True)
         for policy in default_policies()[1:4]
     ]

@@ -200,7 +200,7 @@ class GreenController:
         reference loop, hence bit-identical by construction) than to
         pay per-step array dispatch.  All the *slot-level* work --
         batched PV/tariff/PUE evaluation, branch masks, ledger
-        reductions -- stays vectorized in :meth:`run_slot_fleet`;
+        reductions -- stays batched in :meth:`run_slot_fleet`;
         only the SoC recursion itself runs as ``n_dcs`` float loops.
         Mutates ``batteries`` and fills the ``charged`` /
         ``delivered`` ledger columns.

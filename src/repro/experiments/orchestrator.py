@@ -37,15 +37,16 @@ The fingerprint hashes the *complete* canonicalized request:
   sampling rate, QoS and seed;
 * the policy descriptor -- class name plus all public constructor
   state (:meth:`~repro.sim.state.PlacementPolicy.descriptor`);
-* the :class:`EngineOptions` flags that change results
-  (``clairvoyant``) or their provenance (``validate``, ``vectorized``);
+* every :class:`EngineOptions` field (each one changes results);
 * the workload pack's content descriptor (schema, version, kind and
   the SHA-256 *content* hash of
   :class:`~repro.workload.packs.TracePack` -- for a recorded pack that
   digest covers the raw utilization matrix; the pack *name* is a label
   and deliberately stays out), so recorded-workload runs cache exactly
   like synthetic ones and renames stay cache-compatible;
-* :data:`~repro.store.STORE_VERSION`.
+* :data:`~repro.store.STORE_VERSION` (the document schema) and
+  :data:`~repro.sim.engine.MODEL_VERSION` (the simulated model's
+  semantics).
 
 Anything that could change a run's numbers therefore changes its key;
 entries never need explicit invalidation, only garbage collection
@@ -70,7 +71,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.experiments.sticky import StickyPool
 from repro.sim.config import EngineCoreConfig, ExperimentConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import MODEL_VERSION, SimulationEngine
 from repro.sim.results import RunResult
 from repro.sim.state import PlacementPolicy
 from repro.store import (
@@ -115,27 +116,21 @@ __all__ = [
 class EngineOptions:
     """Engine flags a :class:`RunRequest` threads through to the engine.
 
+    Holds only fields that change a run's result.
+
     Attributes
     ----------
-    validate:
-        Validate every placement against its observation.
     clairvoyant:
         Give policies the current slot's traces (perfect forecast).
-    vectorized:
-        Use the engine's vectorized hot paths (bit-identical to the
-        reference loops; part of the fingerprint for provenance only).
     engine:
         The :class:`~repro.sim.config.EngineCoreConfig` selecting the
-        simulation driver (``slot`` or ``event``) and its request-
-        stream intensity.  Part of the fingerprint: an event run
+        simulation driver (``slot`` or ``event``).  An event run
         carries a per-request ledger a slot run does not, so they are
         distinct artifacts even though their slot ledgers are
         byte-identical.
     """
 
-    validate: bool = True
     clairvoyant: bool = False
-    vectorized: bool = True
     engine: EngineCoreConfig = field(default_factory=EngineCoreConfig)
 
 
@@ -222,6 +217,7 @@ class RunRequest:
         """Full canonical description of the request (hashed + stored)."""
         return {
             "store_version": STORE_VERSION,
+            "model_version": MODEL_VERSION,
             "config": canonical(self.resolved_config()),
             "policy": canonical(self.policy.descriptor()),
             "options": canonical(self.options),
@@ -336,9 +332,7 @@ def execute_request(request: RunRequest) -> RunResult:
     engine = SimulationEngine(
         request.resolved_config(),
         request.policy,
-        validate=request.options.validate,
         clairvoyant=request.options.clairvoyant,
-        vectorized=request.options.vectorized,
         workload=request.pack,
         engine=request.options.engine,
     )
@@ -366,11 +360,7 @@ def _materialization_key_of(request: RunRequest) -> str:
     :meth:`RunRequest.fingerprint` (requests are value-stable)."""
     cached = request.__dict__.get("_materialization_key")
     if cached is None:
-        cached = materialization_key(
-            request.resolved_config(),
-            request.pack,
-            request.options.vectorized,
-        )
+        cached = materialization_key(request.resolved_config(), request.pack)
         object.__setattr__(request, "_materialization_key", cached)
     return cached
 
@@ -408,9 +398,7 @@ def _timed_execute_task(
     if task.stub is not None:
         request = dataclasses.replace(request, pack=task.stub.restore())
     materialization = cache.materialize(
-        request.resolved_config(),
-        request.pack,
-        request.options.vectorized,
+        request.resolved_config(), request.pack
     )
     if materialization.key != task.key:
         raise RuntimeError(
@@ -420,9 +408,7 @@ def _timed_execute_task(
     engine = SimulationEngine(
         request.resolved_config(),
         request.policy,
-        validate=request.options.validate,
         clairvoyant=request.options.clairvoyant,
-        vectorized=request.options.vectorized,
         materialization=materialization,
         engine=request.options.engine,
     )

@@ -85,7 +85,7 @@ def _make_spec(site: str, n_servers: int) -> DatacenterSpec:
 
 @dataclass(frozen=True)
 class EngineCoreConfig:
-    """Which simulation driver advances the run, and its knobs.
+    """Which simulation driver advances the run.
 
     Part of :class:`~repro.experiments.orchestrator.EngineOptions`, so
     the engine mode joins the run fingerprint and the service wire
@@ -101,22 +101,15 @@ class EngineCoreConfig:
         ``"event"`` -- the discrete-event driver
         (:class:`~repro.sim.events.EventCore`), which additionally
         samples per-request latencies inside each slot.
-    requests_per_vm_hour:
-        Mean simulated user requests per receiving VM per hour-slot;
-        the event driver's Poisson request stream intensity.  Only the
-        request ledger depends on it -- slot physics never does.
     """
 
     kind: str = "slot"
-    requests_per_vm_hour: float = 120.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("slot", "event"):
             raise ValueError(
                 f"engine kind must be 'slot' or 'event', got {self.kind!r}"
             )
-        if self.requests_per_vm_hour <= 0.0:
-            raise ValueError("requests_per_vm_hour must be positive")
 
 
 @dataclass(frozen=True)

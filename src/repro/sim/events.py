@@ -33,8 +33,8 @@ latency ledger (:attr:`~repro.sim.results.RunResult.requests`) and the
 event counters depend on them.
 
 Per-request latencies: each slot the driver draws one Poisson request
-count per destination DC (``receiving_vms *
-requests_per_vm_hour``), from a dedicated
+count per destination DC (``receiving_vms *``
+:data:`REQUESTS_PER_VM_HOUR`), from a dedicated
 ``default_rng([seed, slot, salt])`` stream so request sampling can
 never perturb the workload/physics streams, and ledgers the batch at
 the DC's Eq. 1 latency.  Millions of simulated requests cost one
@@ -72,6 +72,11 @@ KIND_NAMES = {
     BATTERY: "battery",
     REQUEST: "request",
 }
+
+#: Mean simulated user requests per receiving VM per hour-slot: the
+#: intensity of the event driver's Poisson request stream.  Only the
+#: request ledger depends on it -- slot physics never does.
+REQUESTS_PER_VM_HOUR = 120.0
 
 #: Third word of the request-stream seed sequence -- keeps the request
 #: Poisson draws on their own stream, disjoint from the workload
@@ -160,8 +165,7 @@ class EventCore:
             clairvoyant=engine.clairvoyant,
         )
         placement = engine.policy.place(observation)
-        if engine.validate:
-            placement.validate(observation)
+        placement.validate(observation)
 
         record = kernel.step(slot, vms, placement, dcs)
         result.slots.append(record)
@@ -194,14 +198,15 @@ class EventCore:
                 self._battery_direction[dc_index] = direction
 
     def _schedule_requests(self, slot: int, record) -> None:
-        rate = self.engine.engine_config.requests_per_vm_hour
         rng = np.random.default_rng(
             [self.engine.config.seed, slot, _REQUEST_SALT]
         )
         for dc_index, dc_record in enumerate(record.dc_records):
             if dc_record.receiving_vms == 0:
                 continue
-            count = int(rng.poisson(dc_record.receiving_vms * rate))
+            count = int(
+                rng.poisson(dc_record.receiving_vms * REQUESTS_PER_VM_HOUR)
+            )
             if count == 0:
                 continue
             self.heap.push(

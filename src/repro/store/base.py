@@ -28,8 +28,8 @@ import json
 import pathlib
 from typing import Iterator, Protocol, runtime_checkable
 
-#: Version of the on-disk schema *and* of the engine numerics contract.
-#: Bump on any change that alters stored bytes or simulated numbers.
+#: Version of the on-disk document schema.  Simulated numbers are
+#: versioned separately, by :data:`repro.sim.engine.MODEL_VERSION`.
 STORE_VERSION = 1
 
 #: Environment variable naming a default on-disk store root.

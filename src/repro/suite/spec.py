@@ -18,7 +18,6 @@ alone.  The TOML shape::
     seeds = [0, 1, 2]
     alphas = [0.5]           # Eq. 5 weight (Proposed only)
     engines = ["slot"]       # slot | event simulation drivers
-    vectorized = [true]      # engine hot-path flags
     qos = [0.98]             # migration QoS levels (scenario knob)
 
     [outputs]
@@ -27,10 +26,11 @@ alone.  The TOML shape::
     export = true            # CSV export of the comparison series
 
 Every ``[matrix]`` axis except ``scale``/``horizon`` is a list; the
-grid is their cross product (packs x seeds x alphas x engines x
-vectorized x qos x policies), expanded in that nesting order so the
-request sequence -- and therefore the campaign ledger's planned order
--- is deterministic for a given file.
+grid is their cross product (packs x seeds x alphas x engines x qos x
+policies), expanded in that nesting order so the request sequence --
+and therefore the campaign ledger's planned order -- is deterministic
+for a given file.  Older specs may still carry ``vectorized = [true]``;
+it is accepted and ignored, and ``false`` is refused.
 
 Error reporting follows ``load_utilization_csv``'s discipline: every
 :class:`SuiteSpecError` names ``file:line: [section].key`` for the
@@ -152,7 +152,7 @@ class SuiteRun:
     """One expanded run: the request plus its suite-side labels.
 
     ``labels`` names the matrix coordinates that produced the request
-    (pack, policy, seed, alpha, engine, vectorized, qos) -- ledger
+    (pack, policy, seed, alpha, engine, qos) -- ledger
     provenance, never part of the fingerprint.
     """
 
@@ -176,7 +176,7 @@ class SuiteCell:
     """One output cell: the four-policy comparison at fixed coordinates.
 
     Outputs (figures/tables/export) are regenerated per cell -- one per
-    (pack x engine x vectorized x qos) combination at the matrix's
+    (pack x engine x qos) combination at the matrix's
     *first* seed and alpha, mirroring the paper's single-realization
     figures while the remaining seeds serve replication studies.
     """
@@ -220,7 +220,6 @@ class SuiteSpec:
     seeds: tuple[int, ...]
     alphas: tuple[float, ...]
     engines: tuple[str, ...]
-    vectorized: tuple[bool, ...]
     qos: tuple[float, ...]
     figures: tuple[int, ...] = ()
     tables: tuple[int, ...] = ()
@@ -260,8 +259,8 @@ class SuiteSpec:
     def expand(self) -> list[SuiteRun]:
         """The full deterministic run grid, in planning order.
 
-        Nesting order (outermost first): pack, qos, vectorized,
-        engine, seed, alpha, policy.  Fingerprints are unique by
+        Nesting order (outermost first): pack, qos, engine, seed,
+        alpha, policy.  Fingerprints are unique by
         construction for distinct coordinates except that baseline
         policies ignore ``alpha`` -- those duplicates are planned once
         (first alpha wins), keeping the ledger one-entry-per-
@@ -280,24 +279,21 @@ class SuiteSpec:
         for pack_name in self.packs:
             pack = self._pack(pack_name)
             for qos in self.qos:
-                for vectorized in self.vectorized:
-                    for engine in self.engines:
-                        options = EngineOptions(
-                            vectorized=vectorized,
-                            engine=EngineCoreConfig(kind=engine),
-                        )
-                        for seed in self.seeds:
-                            for alpha in self.alphas:
-                                for policy_name in self.policies:
-                                    yield self._run(
-                                        pack, pack_name, qos, vectorized,
-                                        engine, options, seed, alpha,
-                                        policy_name,
-                                    )
+                for engine in self.engines:
+                    options = EngineOptions(
+                        engine=EngineCoreConfig(kind=engine)
+                    )
+                    for seed in self.seeds:
+                        for alpha in self.alphas:
+                            for policy_name in self.policies:
+                                yield self._run(
+                                    pack, pack_name, qos, engine, options,
+                                    seed, alpha, policy_name,
+                                )
 
     def _run(
-        self, pack, pack_name, qos, vectorized, engine, options, seed,
-        alpha, policy_name,
+        self, pack, pack_name, qos, engine, options, seed, alpha,
+        policy_name,
     ) -> SuiteRun:
         request = RunRequest(
             config=self._config(seed, qos),
@@ -313,7 +309,6 @@ class SuiteSpec:
                 "seed": seed,
                 "alpha": alpha,
                 "engine": engine,
-                "vectorized": vectorized,
                 "qos": qos,
             },
         )
@@ -321,7 +316,7 @@ class SuiteSpec:
     def output_cells(self) -> list[SuiteCell]:
         """The comparison cells the declared outputs regenerate from.
 
-        One cell per (pack x qos x vectorized x engine) combination at
+        One cell per (pack x qos x engine) combination at
         the first seed and first alpha.  Empty when the spec declares
         no outputs.
         """
@@ -332,37 +327,30 @@ class SuiteSpec:
         for pack_name in self.packs:
             pack = self._pack(pack_name)
             for qos in self.qos:
-                for vectorized in self.vectorized:
-                    for engine in self.engines:
-                        options = EngineOptions(
-                            vectorized=vectorized,
-                            engine=EngineCoreConfig(kind=engine),
+                for engine in self.engines:
+                    options = EngineOptions(
+                        engine=EngineCoreConfig(kind=engine)
+                    )
+                    runs = tuple(
+                        self._run(
+                            pack, pack_name, qos, engine, options, seed,
+                            alpha, policy_name,
                         )
-                        runs = tuple(
-                            self._run(
-                                pack, pack_name, qos, vectorized, engine,
-                                options, seed, alpha, policy_name,
-                            )
-                            for policy_name in COMPARISON_POLICIES
+                        for policy_name in COMPARISON_POLICIES
+                    )
+                    cells.append(
+                        SuiteCell(
+                            key=_cell_key(pack_name, qos, engine),
+                            config=self._config(seed, qos),
+                            runs=runs,
                         )
-                        key = _cell_key(
-                            pack_name, qos, vectorized, engine
-                        )
-                        cells.append(
-                            SuiteCell(
-                                key=key,
-                                config=self._config(seed, qos),
-                                runs=runs,
-                            )
-                        )
+                    )
         return cells
 
 
-def _cell_key(pack: str, qos: float, vectorized: bool, engine: str) -> str:
+def _cell_key(pack: str, qos: float, engine: str) -> str:
     """Filesystem-safe label for one output cell."""
     parts = [pack, engine]
-    if not vectorized:
-        parts.append("loops")
     if qos != 0.98:
         parts.append(f"qos{qos:g}".replace(".", "p"))
     return "-".join(parts)
@@ -536,10 +524,17 @@ def parse_suite(
             None if e in _ENGINES else f"unknown engine (use {_ENGINES})"
         ),
     )
-    vectorized = _axis(
-        diag, matrix, "matrix", "vectorized", (bool,), [True],
-        "booleans",
-    )
+    # A retired axis: one engine implementation is left, so specs
+    # naming it keep parsing as long as they ask for that one.
+    if _axis(
+        diag, matrix, "matrix", "vectorized", (bool,), [True], "booleans"
+    ) != (True,):
+        raise diag.error(
+            "matrix", "vectorized",
+            "vectorized = false is no longer supported: the reference "
+            "loop engine now lives in tests/oracles/ as a test oracle; "
+            "drop the key",
+        )
     qos = _axis(
         diag, matrix, "matrix", "qos", (int, float), [0.98],
         "QoS levels in (0, 1)",
@@ -597,7 +592,6 @@ def parse_suite(
         seeds=seeds,
         alphas=alphas,
         engines=engines,
-        vectorized=vectorized,
         qos=qos,
         figures=figures,
         tables=tables,

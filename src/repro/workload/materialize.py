@@ -15,9 +15,8 @@ reusable unit:
 * :func:`materialization_key` -- a deterministic SHA-256 over the
   *workload-relevant* request state: the pack's content hash plus the
   configured experiment's seed, horizon, slot resolution and arrival
-  model, and the ``vectorized`` flag (the volume process's
-  implementation choice).  Two runs share a key iff they realize
-  bit-identical workloads.
+  model.  Two runs share a key iff they realize bit-identical
+  workloads.
 * :class:`WorkloadMaterialization` -- population + trace library +
   volume process, plus a :class:`SlotDataCache` of *realized* per-slot
   demand and volume matrices (the arrays every run of the key would
@@ -65,6 +64,7 @@ __all__ = [
     "MaterializationCache",
     "SlotDataCache",
     "WorkloadMaterialization",
+    "assemble_demand",
     "build_materialization",
     "configure_process_cache",
     "materialization_key",
@@ -116,9 +116,7 @@ def _canonical_workload(value):
     )
 
 
-def materialization_key(
-    config, pack: TracePack | None, vectorized: bool = True
-) -> str:
+def materialization_key(config, pack: TracePack | None) -> str:
     """SHA-256 key of the workload realization a request implies.
 
     ``config`` must be the experiment configuration *as the run
@@ -134,9 +132,7 @@ def materialization_key(
       the name), ``None`` resolving to the registered default pack;
     * ``config.seed`` (roots population, traces and volumes),
       ``horizon_slots`` (population extent), ``steps_per_slot``
-      (trace resolution) and the configured arrival model;
-    * the ``vectorized`` flag, which selects the volume process's
-      implementation (bit-identical, but a distinct live object).
+      (trace resolution) and the configured arrival model.
 
     Fleet shape, tariffs, PUE, QoS and policy state deliberately stay
     out: they change the run, not its workload.
@@ -156,8 +152,28 @@ def materialization_key(
         int(configured.horizon_slots),
         int(configured.steps_per_slot),
         arrival,
-        bool(vectorized),
     ).hexdigest()
+
+
+def assemble_demand(traces, vms, slot: int, rows: list) -> np.ndarray:
+    """The ``(len(vms), steps)`` demand matrix of ``vms`` in ``slot``.
+
+    ``rows`` holds memoized rows, ``None`` where absent; the absent ones
+    come from one batched ``traces.slot_demand_many`` call, so row ``i``
+    is exactly ``traces.slot_demand(vms[i], slot)``.
+    """
+    missing = [index for index, row in enumerate(rows) if row is None]
+    if len(missing) == len(vms):
+        return traces.slot_demand_many(vms, slot)
+    matrix = np.empty((len(vms), traces.steps_per_slot))
+    for index, row in enumerate(rows):
+        if row is not None:
+            matrix[index] = row
+    if missing:
+        matrix[missing] = traces.slot_demand_many(
+            [vms[index] for index in missing], slot
+        )
+    return matrix
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -205,11 +221,9 @@ class SlotDataCache:
     def demand_matrix(self, traces, vms, slot: int) -> np.ndarray | None:
         """The ``(len(vms), steps)`` demand matrix, memoized.
 
-        Row ``i`` is exactly ``traces.slot_demand(vms[i], slot)`` --
-        assembled through the provider's batched ``slot_demand_many``
-        fast path when all rows are new, from per-row memo views (the
-        engine's original incremental behavior) otherwise.  Returns
-        ``None`` when the byte budget cannot admit the matrix.
+        Assembled by :func:`assemble_demand` from the per-row memo
+        views (the engine's incremental behavior).  Returns ``None``
+        when the byte budget cannot admit the matrix.
         """
         key = (slot, tuple(vm.vm_id for vm in vms))
         steps = traces.steps_per_slot
@@ -223,24 +237,10 @@ class SlotDataCache:
                 self.declined += 1
                 return None
             self.misses += 1
-            cached_rows = [self._rows.get((vm.vm_id, slot)) for vm in vms]
-            missing = [
-                index for index, row in enumerate(cached_rows)
-                if row is None
-            ]
-            if len(missing) == len(vms):
-                matrix = _demand_many(traces, vms, slot)
-            else:
-                matrix = np.empty((len(vms), steps))
-                for index, row in enumerate(cached_rows):
-                    if row is not None:
-                        matrix[index] = row
-                if missing:
-                    fresh = _demand_many(
-                        traces, [vms[index] for index in missing], slot
-                    )
-                    for position, index in enumerate(missing):
-                        matrix[index] = fresh[position]
+            matrix = assemble_demand(
+                traces, vms, slot,
+                [self._rows.get((vm.vm_id, slot)) for vm in vms],
+            )
             _freeze(matrix)
             self.bytes += matrix.nbytes
             self._demand[key] = matrix
@@ -281,25 +281,12 @@ class SlotDataCache:
             }
 
 
-def _demand_many(traces, vms, slot: int) -> np.ndarray:
-    """Batched demand-matrix assembly with a per-row fallback.
-
-    Uses the provider's ``slot_demand_many`` fast path when it has
-    one; a provider without it (custom library adapters) falls back to
-    the reference per-VM stack -- both produce identical bytes.
-    """
-    many = getattr(traces, "slot_demand_many", None)
-    if many is not None:
-        return many(vms, slot)
-    return np.stack([traces.slot_demand(vm, slot) for vm in vms])
-
-
 class WorkloadMaterialization:
     """One workload realization, frozen for sharing across engines.
 
     Bundles the population, trace library and volume process a
     :class:`~repro.sim.engine.SimulationEngine` would build for the
-    keyed ``(config, pack, vectorized)`` triple, plus the
+    keyed ``(config, pack)`` pair, plus the
     :class:`SlotDataCache` of realized per-slot arrays.  All mutation
     funnels through :meth:`demand` and :meth:`volume_matrix`, which
     serialize under one lock -- engines sharing a materialization from
@@ -310,10 +297,6 @@ class WorkloadMaterialization:
     ----------
     key:
         The :func:`materialization_key` this realization answers to.
-    base_config:
-        The configuration *before* the pack's ``configure`` overrides
-        (what an engine is constructed with; used to verify a
-        materialization is being applied to the run it was built for).
     config:
         The configured experiment (pack overrides applied) every
         consumer must simulate under.
@@ -322,23 +305,19 @@ class WorkloadMaterialization:
     def __init__(
         self,
         key: str,
-        base_config,
         config,
         pack: TracePack,
         population: VMPopulation,
         traces,
         volumes,
-        vectorized: bool = True,
         slot_budget_bytes: int = DEFAULT_SLOT_BUDGET_BYTES,
     ) -> None:
         self.key = key
-        self.base_config = base_config
         self.config = config
         self.pack = pack
         self.population = population
         self.traces = traces
         self.volumes = volumes
-        self.vectorized = vectorized
         self.slots = SlotDataCache(budget_bytes=slot_budget_bytes)
 
     def demand(self, vms, slot: int) -> np.ndarray | None:
@@ -375,11 +354,10 @@ class WorkloadMaterialization:
 def build_materialization(
     config,
     pack: TracePack | None,
-    vectorized: bool = True,
     slot_budget_bytes: int = DEFAULT_SLOT_BUDGET_BYTES,
     key: str | None = None,
 ) -> WorkloadMaterialization:
-    """Materialize the workload for ``(config, pack, vectorized)``.
+    """Materialize the workload for ``(config, pack)``.
 
     Builds exactly what :class:`~repro.sim.engine.SimulationEngine`
     builds for itself -- same construction order, same seed
@@ -389,7 +367,7 @@ def build_materialization(
     if pack is None:
         pack = default_pack()
     if key is None:
-        key = materialization_key(config, pack, vectorized)
+        key = materialization_key(config, pack)
     configured = pack.configure(config)
     population = VMPopulation.generate(
         configured.arrival_model,
@@ -397,16 +375,14 @@ def build_materialization(
         seed=configured.seed,
     )
     traces = pack.build_traces(configured)
-    volumes = pack.build_volumes(configured, vectorized=vectorized)
+    volumes = pack.build_volumes(configured)
     return WorkloadMaterialization(
         key=key,
-        base_config=config,
         config=configured,
         pack=pack,
         population=population,
         traces=traces,
         volumes=volumes,
-        vectorized=vectorized,
         slot_budget_bytes=slot_budget_bytes,
     )
 
@@ -462,16 +438,15 @@ class MaterializationCache:
         return entry
 
     def materialize(
-        self, config, pack: TracePack | None, vectorized: bool = True
+        self, config, pack: TracePack | None
     ) -> WorkloadMaterialization:
         """Key + get + build in one call (the engine-facing entry)."""
-        key = materialization_key(config, pack, vectorized)
+        key = materialization_key(config, pack)
         return self.get(
             key,
             lambda: build_materialization(
                 config,
                 pack,
-                vectorized,
                 slot_budget_bytes=self.slot_budget_bytes,
                 key=key,
             ),

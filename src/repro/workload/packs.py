@@ -3,11 +3,8 @@
 The paper's evaluation consumes two workload inputs: per-VM utilization
 traces (a real DC recording extended one day -> one week, Section V)
 and the runtime-varying pairwise data correlations (Section V-A).
-Historically the engine special-cased them (``trace_library or
-TraceLibrary(...)`` plus a hard-wired
-:class:`~repro.workload.datacorr.DataCorrelationProcess`), which left
-recorded workloads without an identity the experiment orchestrator
-could fingerprint.
+Both come from one provider, so a recorded workload has an identity
+the experiment orchestrator can fingerprint like a synthetic one.
 
 This module unifies all workload sources behind one provider protocol:
 
@@ -98,7 +95,7 @@ class DataCorrelationParams:
     modulation_period_slots: float = 24.0
     jitter_sigma: float = 0.3
 
-    def build(self, seed: int, vectorized: bool = True) -> DataCorrelationProcess:
+    def build(self, seed: int) -> DataCorrelationProcess:
         """A volume process with these parameters rooted at ``seed``."""
         return DataCorrelationProcess(
             background_fraction=self.background_fraction,
@@ -107,7 +104,6 @@ class DataCorrelationParams:
             modulation_period_slots=self.modulation_period_slots,
             jitter_sigma=self.jitter_sigma,
             seed=seed,
-            vectorized=vectorized,
         )
 
     def content_items(self) -> tuple[object, ...]:
@@ -215,9 +211,10 @@ class WorkloadProvider(Protocol):
         """Return ``config`` with the provider's overrides applied."""
 
     def build_traces(self, config):
-        """Trace library (``slot_demand``/``demand_matrix``/``slot_mean``)."""
+        """Trace library (``slot_demand``/``slot_demand_many``/
+        ``demand_matrix``/``slot_mean``)."""
 
-    def build_volumes(self, config, vectorized: bool = True):
+    def build_volumes(self, config):
         """The pairwise data-volume process for ``config``."""
 
     def descriptor(self) -> dict:
@@ -326,11 +323,9 @@ class TracePack:
             )
         return library
 
-    def build_volumes(
-        self, config, vectorized: bool = True
-    ) -> DataCorrelationProcess:
+    def build_volumes(self, config) -> DataCorrelationProcess:
         """The pack's volume process, seeded by the engine's convention."""
-        return self.datacorr.build(config.seed + 2, vectorized=vectorized)
+        return self.datacorr.build(config.seed + 2)
 
     def with_app_mix(
         self, app_mix: Mapping[AppType, float], name: str | None = None
@@ -379,7 +374,9 @@ class TracePack:
 class LibraryWorkload:
     """Adapter wrapping a pre-built trace library as a provider.
 
-    Backs the engine's legacy ``trace_library=`` argument.  It carries
+    Pass it as ``SimulationEngine(workload=LibraryWorkload(library))``
+    to run over a pre-built library (e.g. a
+    :class:`~repro.workload.recorded.RecordedTraceLibrary`).  It carries
     no content hash (the library is an opaque live object), so it
     cannot key the result store -- use a :class:`TracePack` for that.
     """
@@ -401,11 +398,9 @@ class LibraryWorkload:
         """The wrapped library, as given."""
         return self.library
 
-    def build_volumes(
-        self, config, vectorized: bool = True
-    ) -> DataCorrelationProcess:
+    def build_volumes(self, config) -> DataCorrelationProcess:
         """Volume process with the engine's established seed derivation."""
-        return self.datacorr.build(config.seed + 2, vectorized=vectorized)
+        return self.datacorr.build(config.seed + 2)
 
     def descriptor(self) -> dict:
         """Opaque identity -- deliberately not usable as a cache key."""

@@ -155,7 +155,7 @@ class TraceLibrary:
             sigma = float(np.hypot(sigma, self.extension_sigma))
 
         # AR(1) noise around the hour mean; stationary marginal sigma.
-        # y[n] = rho * y[n-1] + eps[n], vectorized as an IIR filter.
+        # y[n] = rho * y[n-1] + eps[n], run as an IIR filter.
         rho = profile.noise_rho
         innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), self.steps_per_slot)
         level = rng.normal(0.0, sigma)
@@ -186,7 +186,7 @@ class TraceLibrary:
         """Batched :meth:`slot_demand` filling one matrix in place.
 
         Synthetic traces are RNG-per-(vm, slot), so the rows themselves
-        cannot be vectorized across VMs without changing the streams;
+        cannot be batched across VMs without changing the streams;
         this fast path only removes the intermediate row list and the
         ``np.stack`` copy.  Rows are bit-identical to the loop path.
         """

@@ -93,7 +93,7 @@ class TestCanonical:
     def test_dataclass_includes_class_name(self):
         tree = canonical(EngineOptions())
         assert tree["__class__"] == "EngineOptions"
-        assert tree["validate"] is True
+        assert tree["clairvoyant"] is False
 
     def test_function_canonicalized_by_qualname(self):
         from repro.core.local import allocate_first_fit

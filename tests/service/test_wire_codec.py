@@ -17,7 +17,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import default_policies
 from repro.service.codec import CodecError, decode, encode
-from repro.sim.config import paper_config, scaled_config
+from repro.sim.config import EngineCoreConfig, paper_config, scaled_config
 from repro.workload.packs import (
     DataCorrelationParams,
     RecordedTraceSource,
@@ -107,7 +107,9 @@ class TestFingerprintStability:
                 config=config,
                 policy=policy,
                 seed=9,
-                options=EngineOptions(clairvoyant=True, validate=False),
+                options=EngineOptions(
+                    clairvoyant=True, engine=EngineCoreConfig(kind="event")
+                ),
             )
             assert roundtrip(request).fingerprint() == request.fingerprint()
 

@@ -110,5 +110,5 @@ class TestCaching:
     def test_demand_cache_evicts_old_slots(self, short_config):
         engine = SimulationEngine(short_config, PriAwarePolicy())
         engine.run()
-        slots_cached = {slot for _, slot in engine._demand_cache}
+        slots_cached = {slot for _, slot in engine.kernel._demand_cache}
         assert all(slot >= short_config.horizon_slots - 1 for slot in slots_cached)

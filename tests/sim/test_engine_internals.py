@@ -13,10 +13,10 @@ from repro.sim.state import FleetPlacement
 
 
 @pytest.fixture
-def engine():
+def kernel():
     return SimulationEngine(
         scaled_config("tiny").with_horizon(4), PriAwarePolicy()
-    )
+    ).kernel
 
 
 def manual_placement(vms, dc_of: dict[int, int], n_dcs=3):
@@ -37,25 +37,26 @@ def manual_placement(vms, dc_of: dict[int, int], n_dcs=3):
 
 
 class TestITPower:
-    def test_matches_hand_computation(self, engine):
+    def test_matches_hand_computation(self, kernel):
         vms = [make_vm(vm_id=0, seed=1), make_vm(vm_id=1, seed=2)]
         placement = manual_placement(vms, {0: 0, 1: 0})
         vm_rows = {0: 0, 1: 1}
-        demand = engine._demand(vms, 0)
-        power, active = engine._dc_it_power(placement, 0, vm_rows, demand)
+        demand = kernel._demand(vms, 0)
+        power, actives = kernel._fleet_it_power(placement, vm_rows, demand)
         expected = XEON_E5410.power_trace(1, demand[0] + demand[1])
-        assert active == 1
+        assert actives[0] == 1
+        power = power[0]
         assert np.allclose(power, expected)
 
-    def test_empty_dc_zero_power(self, engine):
+    def test_empty_dc_zero_power(self, kernel):
         vms = [make_vm(vm_id=0, seed=1)]
         placement = manual_placement(vms, {0: 0})
-        demand = engine._demand(vms, 0)
-        power, active = engine._dc_it_power(placement, 2, {0: 0}, demand)
-        assert active == 0
-        assert np.all(power == 0.0)
+        demand = kernel._demand(vms, 0)
+        power, actives = kernel._fleet_it_power(placement, {0: 0}, demand)
+        assert actives[2] == 0
+        assert np.all(power[2] == 0.0)
 
-    def test_two_servers_sum(self, engine):
+    def test_two_servers_sum(self, kernel):
         vms = [make_vm(vm_id=0, seed=1), make_vm(vm_id=1, seed=2)]
         allocation = ServerAllocation(
             model=XEON_E5410,
@@ -72,70 +73,74 @@ class TestITPower:
                 ServerAllocation(model=XEON_E5410, n_servers=8),
             ],
         )
-        demand = engine._demand(vms, 0)
-        power, active = engine._dc_it_power(placement, 0, {0: 0, 1: 1}, demand)
+        demand = kernel._demand(vms, 0)
+        power, actives = kernel._fleet_it_power(
+            placement, {0: 0, 1: 1}, demand
+        )
         expected = XEON_E5410.power_trace(0, demand[0]) + XEON_E5410.power_trace(
             1, demand[1]
         )
-        assert active == 2
-        assert np.allclose(power, expected)
+        assert actives[0] == 2
+        assert np.allclose(power[0], expected)
 
 
 class TestResponseLatencies:
-    def test_matches_latency_model(self, engine):
+    def test_matches_latency_model(self, kernel):
         vms = [
             make_vm(vm_id=0, service_id=0, seed=1),
             make_vm(vm_id=1, service_id=0, seed=2),
             make_vm(vm_id=2, service_id=0, seed=3),
         ]
         placement = manual_placement(vms, {0: 0, 1: 1, 2: 1})
-        volumes = engine.volumes.volumes(vms, 2).volumes
-        latencies = engine._response_latencies(placement, vms, volumes, 2)
+        volumes = kernel.volumes.volumes(vms, 2).volumes
+        latencies = kernel._response_latencies(placement, vms, volumes, 2)
 
         # DC1 receives from vm0 (DC0) and internally from vm2<->vm1.
         expected_sources = {
             0: float(volumes[0, 1] + volumes[0, 2]),
             1: float(volumes[1, 2] + volumes[2, 1]),
         }
-        expected = engine.latency_model.destination_latency(
+        expected = kernel.latency_model.destination_latency(
             1, expected_sources, 2
         ).total_s
         assert latencies[1][0] == pytest.approx(expected)
 
-    def test_receiving_vm_counts(self, engine):
+    def test_receiving_vm_counts(self, kernel):
         vms = [
             make_vm(vm_id=0, service_id=0, seed=1),
             make_vm(vm_id=1, service_id=0, seed=2),
         ]
         placement = manual_placement(vms, {0: 0, 1: 0})
-        volumes = engine.volumes.volumes(vms, 1).volumes
-        latencies = engine._response_latencies(placement, vms, volumes, 1)
+        volumes = kernel.volumes.volumes(vms, 1).volumes
+        latencies = kernel._response_latencies(placement, vms, volumes, 1)
         receiving = [count for _, count in latencies]
         # Both VMs exchange intra-service data, both sit in DC0.
         assert receiving[0] == 2
         assert receiving[1] == 0
         assert receiving[2] == 0
 
-    def test_empty_dc_zero_latency(self, engine):
+    def test_empty_dc_zero_latency(self, kernel):
         vms = [make_vm(vm_id=0, seed=1)]
         placement = manual_placement(vms, {0: 0})
         volumes = np.zeros((1, 1))
-        latencies = engine._response_latencies(placement, vms, volumes, 0)
+        latencies = kernel._response_latencies(placement, vms, volumes, 0)
         assert latencies[1] == (0.0, 0)
         assert latencies[2] == (0.0, 0)
 
 
 class TestDemandCache:
-    def test_rows_cached(self, engine):
+    def test_rows_cached(self, kernel):
         vm = make_vm(vm_id=0, seed=1)
-        first = engine._demand_row(vm, 2)
-        second = engine._demand_row(vm, 2)
-        assert first is second
+        first = kernel._demand([vm], 2)
+        row = kernel._demand_cache[(0, 2)]
+        second = kernel._demand([vm, make_vm(vm_id=1, seed=2)], 2)
+        assert kernel._demand_cache[(0, 2)] is row
+        assert np.array_equal(first[0], second[0])
 
-    def test_eviction_keeps_recent(self, engine):
+    def test_eviction_keeps_recent(self, kernel):
         vm = make_vm(vm_id=0, seed=1)
-        engine._demand_row(vm, 0)
-        engine._demand_row(vm, 5)
-        engine._evict_cache(5)
-        assert (0, 0) not in engine._demand_cache
-        assert (0, 5) in engine._demand_cache
+        kernel._demand([vm], 0)
+        kernel._demand([vm], 5)
+        kernel._evict_cache(5)
+        assert (0, 0) not in kernel._demand_cache
+        assert (0, 5) in kernel._demand_cache

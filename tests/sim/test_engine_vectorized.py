@@ -1,4 +1,4 @@
-"""Vectorized engine hot paths: bit-exact equivalence with the loops."""
+"""Batched engine hot paths: bit-exact equivalence with the loop oracles."""
 
 import numpy as np
 import pytest
@@ -6,39 +6,45 @@ import pytest
 from repro.experiments.runner import default_policies
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine, run_policies
+from repro.workload.packs import LibraryWorkload
+from tests.oracles.kernel import (
+    dc_it_power_grouped,
+    dc_it_power_loop,
+    loop_engine,
+    response_latencies_loop,
+)
 
 
 def run_pair(policy_a, policy_b, horizon=6):
     config = scaled_config("tiny").with_horizon(horizon)
-    loops = SimulationEngine(config, policy_a, vectorized=False).run()
-    vectorized = SimulationEngine(config, policy_b, vectorized=True).run()
-    return loops, vectorized
+    loops = loop_engine(config, policy_a).run()
+    batched = SimulationEngine(config, policy_b).run()
+    return loops, batched
 
 
 @pytest.mark.parametrize("index", range(4))
 def test_full_run_bit_identical(index):
     """Every per-slot ledger float matches the loop reference exactly."""
-    loops, vectorized = run_pair(
+    loops, batched = run_pair(
         default_policies()[index], default_policies()[index]
     )
-    assert loops.horizon == vectorized.horizon
-    for slot_a, slot_b in zip(loops.slots, vectorized.slots):
-        assert slot_a.migration_volume_mb == slot_b.migration_volume_mb
-        assert slot_a.dc_records == slot_b.dc_records
+    assert loops.horizon == batched.horizon
+    assert loops.slots == batched.slots
 
 
 def test_summary_metrics_identical():
-    loops, vectorized = run_pair(default_policies()[0], default_policies()[0])
-    assert loops.summary() == vectorized.summary()
-    assert np.array_equal(loops.response_samples(), vectorized.response_samples())
+    loops, batched = run_pair(default_policies()[0], default_policies()[0])
+    assert loops.summary() == batched.summary()
+    assert np.array_equal(loops.response_samples(), batched.response_samples())
 
 
 def test_dc_it_power_paths_agree_per_slot():
     config = scaled_config("tiny").with_horizon(2)
     engine = SimulationEngine(config, default_policies()[1])
+    kernel = engine.kernel
     vms = engine.population.alive(0)
     vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
-    demand = engine._demand(vms, 0)
+    demand = kernel._demand(vms, 0)
     observation_policy = default_policies()[1]
     observation_policy.reset()
     from repro.sim.config import build_datacenters
@@ -55,13 +61,11 @@ def test_dc_it_power_paths_agree_per_slot():
         latency_constraint_s=config.latency_constraint_s,
     )
     placement = observation_policy.place(observation)
+    power, actives = kernel._fleet_it_power(placement, vm_rows, demand)
     for dc_index in range(config.n_dcs):
-        loop = engine._dc_it_power_loop(placement, dc_index, vm_rows, demand)
-        fast = engine._dc_it_power_vectorized(
-            placement, dc_index, vm_rows, demand
-        )
-        assert np.array_equal(loop[0], fast[0])
-        assert loop[1] == fast[1]
+        loop = dc_it_power_loop(kernel, placement, dc_index, vm_rows, demand)
+        assert np.array_equal(loop[0], power[dc_index])
+        assert loop[1] == actives[dc_index]
 
 
 def test_response_latency_paths_agree_per_slot():
@@ -75,8 +79,8 @@ def test_response_latency_paths_agree_per_slot():
         (),
         {"assignment": {vm.vm_id: int(rng.integers(0, 3)) for vm in vms}},
     )()
-    loop = engine._response_latencies_loop(placement_stub, vms, volumes, 1)
-    fast = engine._response_latencies_vectorized(placement_stub, vms, volumes, 1)
+    loop = response_latencies_loop(engine.kernel, placement_stub, vms, volumes, 1)
+    fast = engine.kernel._response_latencies(placement_stub, vms, volumes, 1)
     assert loop == fast
 
 
@@ -85,8 +89,8 @@ def test_response_latency_empty_fleet():
     engine = SimulationEngine(config, default_policies()[1])
     placement_stub = type("Stub", (), {"assignment": {}})()
     empty = np.zeros((0, 0))
-    loop = engine._response_latencies_loop(placement_stub, [], empty, 0)
-    fast = engine._response_latencies_vectorized(placement_stub, [], empty, 0)
+    loop = response_latencies_loop(engine.kernel, placement_stub, [], empty, 0)
+    fast = engine.kernel._response_latencies(placement_stub, [], empty, 0)
     assert loop == fast == [(0.0, 0)] * config.n_dcs
 
 
@@ -102,16 +106,19 @@ class TestRunPoliciesOptions:
         ).run()
         assert via_runner[0].slots == direct.slots
 
-    def test_vectorized_flag_threaded_through(self):
-        config = scaled_config("tiny").with_horizon(3)
-        loops = run_policies(config, default_policies()[2:3], vectorized=False)
-        fast = run_policies(config, default_policies()[2:3], vectorized=True)
-        assert loops[0].slots == fast[0].slots
-
-    def test_validate_flag_threaded_through(self):
+    def test_placements_are_always_validated(self):
         config = scaled_config("tiny").with_horizon(2)
-        results = run_policies(config, default_policies()[1:2], validate=False)
-        assert results[0].horizon == 2
+        policy = default_policies()[1]
+        place = policy.place
+
+        def unplaced(observation):
+            placement = place(observation)
+            placement.assignment.pop(observation.vms[0].vm_id)
+            return placement
+
+        policy.place = unplaced
+        with pytest.raises(ValueError):
+            run_policies(config, [policy])
 
     def test_trace_library_threaded_through(self):
         from repro.workload.traces import TraceLibrary
@@ -122,7 +129,7 @@ class TestRunPoliciesOptions:
         )
         default = run_policies(config, default_policies()[1:2])
         swapped = run_policies(
-            config, default_policies()[1:2], trace_library=alternate
+            config, default_policies()[1:2], workload=LibraryWorkload(alternate)
         )
         assert default[0].total_facility_energy_joules() != pytest.approx(
             swapped[0].total_facility_energy_joules()
@@ -132,37 +139,38 @@ class TestRunPoliciesOptions:
 class TestDemandCacheEviction:
     def test_eviction_is_bucketed_per_slot(self):
         config = scaled_config("tiny").with_horizon(3)
-        engine = SimulationEngine(config, default_policies()[1])
-        vms = engine.population.alive(0)
-        engine._demand(vms, 0)
-        engine._demand(vms, 1)
-        assert set(engine._demand_cache_slots) == {0, 1}
-        engine._evict_cache(1)
-        assert set(engine._demand_cache_slots) == {1}
-        assert all(slot == 1 for _, slot in engine._demand_cache)
+        kernel = SimulationEngine(config, default_policies()[1]).kernel
+        vms = kernel.population.alive(0)
+        kernel._demand(vms, 0)
+        kernel._demand(vms, 1)
+        assert set(kernel._demand_cache_slots) == {0, 1}
+        kernel._evict_cache(1)
+        assert set(kernel._demand_cache_slots) == {1}
+        assert all(slot == 1 for _, slot in kernel._demand_cache)
 
     def test_cache_consistent_after_run(self):
         config = scaled_config("tiny").with_horizon(4)
         engine = SimulationEngine(config, default_policies()[1])
         engine.run()
+        kernel = engine.kernel
         bucketed = {
             key
-            for keys in engine._demand_cache_slots.values()
+            for keys in kernel._demand_cache_slots.values()
             for key in keys
         }
-        assert bucketed == set(engine._demand_cache)
-        assert {slot for _, slot in engine._demand_cache} <= {2, 3}
+        assert bucketed == set(kernel._demand_cache)
+        assert {slot for _, slot in kernel._demand_cache} <= {2, 3}
 
 
 class TestFleetItPower:
-    """The one-shot fleet CSR product equals the per-DC paths exactly."""
+    """The one-shot fleet CSR product equals the per-DC oracles exactly."""
 
     def physics_inputs(self, slot=0):
         config = scaled_config("tiny").with_horizon(2)
         engine = SimulationEngine(config, default_policies()[1])
         vms = engine.population.alive(slot)
         vm_rows = {vm.vm_id: row for row, vm in enumerate(vms)}
-        demand = engine._demand(vms, slot)
+        demand = engine.kernel._demand(vms, slot)
         policy = default_policies()[1]
         policy.reset()
         from repro.sim.config import build_datacenters
@@ -183,14 +191,13 @@ class TestFleetItPower:
 
     def test_matches_per_dc_paths(self):
         config, engine, placement, vm_rows, demand = self.physics_inputs()
-        power, actives = engine._fleet_it_power(placement, vm_rows, demand)
+        kernel = engine.kernel
+        power, actives = kernel._fleet_it_power(placement, vm_rows, demand)
         assert power.shape == (config.n_dcs, config.steps_per_slot)
         for dc_index in range(config.n_dcs):
-            loop = engine._dc_it_power_loop(
-                placement, dc_index, vm_rows, demand
-            )
-            per_dc = engine._dc_it_power_vectorized(
-                placement, dc_index, vm_rows, demand
+            loop = dc_it_power_loop(kernel, placement, dc_index, vm_rows, demand)
+            per_dc = dc_it_power_grouped(
+                kernel, placement, dc_index, vm_rows, demand
             )
             assert np.array_equal(power[dc_index], loop[0])
             assert np.array_equal(power[dc_index], per_dc[0])
@@ -205,7 +212,7 @@ class TestFleetItPower:
             ServerAllocation(model=XEON_E5410, n_servers=4)
             for _ in range(config.n_dcs)
         ]
-        power, actives = engine._fleet_it_power(
+        power, actives = engine.kernel._fleet_it_power(
             placement, vm_rows, np.zeros((0, config.steps_per_slot))
         )
         assert not power.any()
@@ -217,9 +224,7 @@ class TestFleetGreenPathsInRun:
 
     def test_struct_of_arrays_green_full_run(self):
         config = scaled_config("tiny").with_horizon(6)
-        loops = SimulationEngine(
-            config, default_policies()[1], vectorized=False
-        ).run()
+        loops = loop_engine(config, default_policies()[1]).run()
         fleet_engine = SimulationEngine(config, default_policies()[1])
         fleet_engine.green.scalar_replay_max_dcs = 0
         batched = fleet_engine.run()
@@ -268,8 +273,8 @@ class TestPairVolumes:
             },
         )()
         real = engine.volumes.volumes(vms, slot).volumes
-        loop = engine._response_latencies_loop(stub, vms, real, slot)
-        fast = engine._response_latencies_vectorized(stub, vms, real, slot)
+        loop = response_latencies_loop(engine.kernel, stub, vms, real, slot)
+        fast = engine.kernel._response_latencies(stub, vms, real, slot)
         assert loop == fast
 
     def test_grouped_blocks_match_reference_at_large_sizes(self):
@@ -292,7 +297,7 @@ class TestPairVolumes:
         strict left-to-right accumulation diverges (in the last ulps)
         from ndarray.sum()'s pairwise reduction on realistic blocks,
         so a reduceat implementation would break the engine's
-        bit-identity contract between vectorized and loop paths."""
+        bit-identity contract with the loop oracle."""
         volumes, dc_of = self._blocked_case(300, 2, seed=5)
         reference = self._reference_pairs(volumes, dc_of, 2)
         order = np.argsort(dc_of, kind="stable")

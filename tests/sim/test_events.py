@@ -90,15 +90,10 @@ class TestEngineCoreConfig:
     def test_defaults(self):
         core = EngineCoreConfig()
         assert core.kind == "slot"
-        assert core.requests_per_vm_hour > 0
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             EngineCoreConfig(kind="warp")
-
-    def test_rejects_non_positive_request_rate(self):
-        with pytest.raises(ValueError, match="requests_per_vm_hour"):
-            EngineCoreConfig(requests_per_vm_hour=0.0)
 
 
 class TestPopulationEvents:
@@ -264,8 +259,8 @@ class TestValidation:
             def build_traces(self, config):
                 return self._inner.build_traces(config)
 
-            def build_volumes(self, config, vectorized=True):
-                return self._inner.build_volumes(config, vectorized)
+            def build_volumes(self, config):
+                return self._inner.build_volumes(config)
 
             def descriptor(self):
                 return self._inner.descriptor()

@@ -21,7 +21,6 @@ policies = ["Proposed", "Ener-aware", "Pri-aware", "Net-aware"]
 seeds = [0]
 alphas = [0.5]
 engines = ["slot"]
-vectorized = [true]
 qos = [0.98]
 
 [outputs]

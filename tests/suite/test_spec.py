@@ -6,6 +6,7 @@ operator fixing a 40-line suite file should never have to bisect it.
 
 from __future__ import annotations
 
+import pathlib
 import re
 
 import pytest
@@ -74,7 +75,6 @@ class TestParseHappyPath:
         assert spec.seeds == (0,)
         assert spec.alphas == (0.5,)
         assert spec.engines == ("slot",)
-        assert spec.vectorized == (True,)
         assert spec.qos == (0.98,)
         assert not spec.has_outputs
 
@@ -95,6 +95,49 @@ class TestParseHappyPath:
         assert spec.path == str(path)
 
 
+class TestRetiredVectorizedAxis:
+    """``vectorized`` named an engine implementation that is gone: the
+    key still parses when it asks for the one that is left."""
+
+    def test_true_is_accepted_and_ignored(self):
+        without = MINI.replace("vectorized = [true]\n", "")
+        assert "vectorized" not in without
+        kept = parse_suite(MINI, "a.toml").expand()
+        dropped = parse_suite(without, "a.toml").expand()
+        assert [r.fingerprint for r in kept] == [
+            r.fingerprint for r in dropped
+        ]
+
+    @pytest.mark.parametrize("value", ["[false]", "[true, false]"])
+    def test_false_is_refused_with_position(self, value):
+        text = MINI.replace("vectorized = [true]", f"vectorized = {value}")
+        message = _error(text)
+        line = _line_of(text, "vectorized =")
+        assert message.startswith(f"suite.toml:{line}: [matrix].vectorized:")
+        assert "tests/oracles/" in message
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(
+        (pathlib.Path(__file__).parents[2] / "examples" / "suites").glob(
+            "*.toml"
+        )
+    ),
+    ids=lambda path: path.name,
+)
+def test_example_suites_load_and_expand(path):
+    spec = load_suite(path)
+    runs = spec.expand()
+    assert runs
+    assert len({run.fingerprint for run in runs}) == len(runs)
+    assert len(spec.output_cells()) == (
+        len(spec.packs) * len(spec.qos) * len(spec.engines)
+        if spec.has_outputs
+        else 0
+    )
+
+
 class TestExpansion:
     def test_expansion_is_deterministic(self):
         a = parse_suite(MINI, "a.toml").expand()
@@ -108,8 +151,7 @@ class TestExpansion:
         assert len({r.fingerprint for r in runs}) == 12
         labels = runs[0].labels
         assert set(labels) == {
-            "pack", "policy", "seed", "alpha", "engine",
-            "vectorized", "qos",
+            "pack", "policy", "seed", "alpha", "engine", "qos",
         }
 
     def test_baseline_policies_dedup_across_alphas(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_vm
+from tests.oracles.datacorr import volumes_loop
 from repro.workload.datacorr import (
     MEAN_VOLUME_MB,
     DataCorrelationProcess,
@@ -186,35 +187,36 @@ def make_population(n: int) -> list:
 
 
 class TestVectorizedEquivalence:
-    """The batched path must be bit-identical to the reference loop."""
+    """The batched path must be bit-identical to the loop oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 50, 200])
     def test_bit_identical_across_sizes(self, n):
         vms = make_population(n)
-        loop = DataCorrelationProcess(seed=17, vectorized=False)
-        vectorized = DataCorrelationProcess(seed=17, vectorized=True)
+        loop = DataCorrelationProcess(seed=17)
+        process = DataCorrelationProcess(seed=17)
         for slot in (0, 7):
-            reference = loop.volumes(vms, slot)
-            batched = vectorized.volumes(vms, slot)
+            reference = volumes_loop(loop, vms, slot)
+            batched = process.volumes(vms, slot)
             assert batched.vm_ids == reference.vm_ids
             assert np.array_equal(batched.volumes, reference.volumes)
 
     def test_bit_identical_dense(self):
         vms = make_population(12)
-        loop = DataCorrelationProcess(dense=True, seed=5, vectorized=False)
-        vectorized = DataCorrelationProcess(dense=True, seed=5, vectorized=True)
+        loop = DataCorrelationProcess(dense=True, seed=5)
+        process = DataCorrelationProcess(dense=True, seed=5)
         assert np.array_equal(
-            vectorized.volumes(vms, 3).volumes, loop.volumes(vms, 3).volumes
+            process.volumes(vms, 3).volumes, volumes_loop(loop, vms, 3).volumes
         )
 
     def test_population_change_invalidates_nothing(self):
         """Shrinking/growing the alive set keeps results loop-identical."""
         process = DataCorrelationProcess(seed=9)
-        loop = DataCorrelationProcess(seed=9, vectorized=False)
+        loop = DataCorrelationProcess(seed=9)
         full = make_population(10)
         for vms in (full, full[:6], full[2:9], full):
             assert np.array_equal(
-                process.volumes(vms, 4).volumes, loop.volumes(vms, 4).volumes
+                process.volumes(vms, 4).volumes,
+                volumes_loop(loop, vms, 4).volumes,
             )
 
     def test_population_cache_bounded(self):
@@ -222,6 +224,3 @@ class TestVectorizedEquivalence:
         for start in range(process.POPULATION_CACHE_SIZE + 4):
             process.volumes(make_population(12)[start % 6 :], 0)
         assert len(process._population_cache) <= process.POPULATION_CACHE_SIZE
-
-    def test_default_is_vectorized(self):
-        assert DataCorrelationProcess().vectorized is True

@@ -22,6 +22,7 @@ from repro.workload.packs import (
     default_pack,
     get_pack,
 )
+from tests.oracles.kernel import loop_engine
 
 
 def tiny(horizon=3):
@@ -61,12 +62,6 @@ class TestMaterializationKey:
         assert materialization_key(tiny(3), None) != materialization_key(
             tiny(4), None
         )
-
-    def test_vectorized_flag_changes_key(self):
-        config = tiny()
-        assert materialization_key(
-            config, None, vectorized=True
-        ) != materialization_key(config, None, vectorized=False)
 
     def test_pack_content_changes_key(self):
         config = tiny()
@@ -133,7 +128,7 @@ class TestSlotDataCache:
         cached = mat.volume_matrix(vms, 2)
         fresh = (
             default_pack()
-            .build_volumes(mat.config, vectorized=True)
+            .build_volumes(mat.config)
             .volumes(vms, 2)
         )
         assert np.array_equal(cached.volumes, fresh.volumes)
@@ -242,17 +237,13 @@ class TestMaterializationCache:
 class TestEngineBitIdentity:
     """Materialized runs are byte-identical to self-built runs."""
 
-    def run_pair(self, pack, policy_index=1, horizon=3, vectorized=True):
+    def run_pair(self, pack, policy_index=1, horizon=3):
         config = tiny(horizon)
-        mat = build_materialization(config, pack, vectorized=vectorized)
+        mat = build_materialization(config, pack)
         policy = default_policies()[policy_index]
-        shared = SimulationEngine(
-            config, policy, materialization=mat, vectorized=vectorized
-        ).run()
+        shared = SimulationEngine(config, policy, materialization=mat).run()
         policy = default_policies()[policy_index]
-        plain = SimulationEngine(
-            config, policy, workload=pack, vectorized=vectorized
-        ).run()
+        plain = SimulationEngine(config, policy, workload=pack).run()
         return shared, plain, mat
 
     @pytest.mark.parametrize(
@@ -270,8 +261,10 @@ class TestEngineBitIdentity:
         assert shared.slots == plain.slots
 
     def test_loop_engine(self):
-        shared, plain, _ = self.run_pair(None, vectorized=False)
-        assert shared.slots == plain.slots
+        """A materialized run equals the loop-oracle engine's run."""
+        shared, _, _ = self.run_pair(None)
+        oracle = loop_engine(tiny(3), default_policies()[1]).run()
+        assert shared.slots == oracle.slots
 
     def test_reuse_across_engines_stays_identical(self):
         config = tiny(3)
@@ -313,16 +306,6 @@ class TestEngineBitIdentity:
         assert shared.slots != SimulationEngine(
             config, default_policies()[1]
         ).run().slots  # the battery change did take effect
-
-    def test_wrong_vectorized_flag_rejected(self):
-        mat = build_materialization(tiny(3), None, vectorized=True)
-        with pytest.raises(ValueError, match="vectorized"):
-            SimulationEngine(
-                tiny(3),
-                default_policies()[1],
-                materialization=mat,
-                vectorized=False,
-            )
 
     def test_materialization_excludes_other_workload_sources(self):
         mat = build_materialization(tiny(3), None)

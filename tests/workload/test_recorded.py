@@ -7,6 +7,7 @@ from tests.conftest import make_vm
 from repro.baselines.pri_aware import PriAwarePolicy
 from repro.sim.config import scaled_config
 from repro.sim.engine import SimulationEngine
+from repro.workload.packs import LibraryWorkload
 from repro.workload.recorded import RecordedTraceLibrary, load_utilization_csv
 
 
@@ -155,7 +156,7 @@ class TestEngineIntegration:
             steps_per_slot=config.steps_per_slot,
         ).extend_days(2)
         engine = SimulationEngine(
-            config, PriAwarePolicy(), trace_library=recording
+            config, PriAwarePolicy(), workload=LibraryWorkload(recording)
         )
         result = engine.run()
         assert result.total_facility_energy_joules() > 0.0
